@@ -9,7 +9,8 @@ sequence of the fused eval forward — same functions, same evaluation order,
 in-place only where IEEE semantics make it equivalent (``var ** 0.5`` stays
 the literal operator; the gelu cube is the same multiply chain as
 ``Tensor.gelu``) — over a
-:class:`~repro.nn.kernels.ScratchPool` of reused activation buffers.  Logits
+:class:`~repro.nn.kernels.GrowingScratchPool` of reused activation buffers
+(one per slot, sized by the largest batch shape seen).  Logits
 are therefore bit-identical to the module path, which the differential
 harness (`tests/test_nn_fused_equivalence.py`) asserts.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.autograd import _GELU_C
-from ..nn.kernels import ScratchPool, eval_attention_packed, eval_layer_norm_packed
+from ..nn.kernels import GrowingScratchPool, eval_attention_packed, eval_layer_norm_packed
 
 __all__ = ["EvalForward"]
 
@@ -59,13 +60,13 @@ class EvalForward:
 
     Drop-in for the module-graph ``predict_logits`` loop (same chunking, same
     range checks, bit-identical logits) minus the autograd overhead.  Not a
-    Module: it owns no parameters, only scratch buffers keyed by batch shape,
-    and never touches the train/eval flags of the model it reads.
+    Module: it owns no parameters, only scratch buffers sized by the largest
+    batch shape, and never touches the train/eval flags of the model it reads.
     """
 
     def __init__(self, classifier):
         self.classifier = classifier
-        self._pool = ScratchPool()
+        self._pool = GrowingScratchPool()
 
     # ------------------------------------------------------------------
     # Entry point

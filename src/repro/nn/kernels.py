@@ -45,6 +45,7 @@ bit-exact replay unchanged.
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -53,6 +54,7 @@ from .autograd import Tensor, is_grad_enabled
 
 __all__ = [
     "ScratchPool",
+    "GrowingScratchPool",
     "scratch_allocations",
     "KernelProfiler",
     "enable_kernel_profiling",
@@ -228,7 +230,40 @@ class ScratchPool:
     def __deepcopy__(self, memo):
         # Scratch contents are never reused across calls; clones (serving
         # fabric workers deep-copy their engines) start with an empty pool.
-        return ScratchPool()
+        return type(self)()
+
+
+class GrowingScratchPool(ScratchPool):
+    """Scratch buffers keyed by ``(slot, dtype)``, grown to the largest request.
+
+    Each slot owns one flat buffer; a request gets a reshaped view of its
+    prefix, and a larger request replaces the buffer.  Memory is therefore
+    the largest shape's, not the sum over every shape the slot has served:
+    an eval forward over many ``(batch, width)`` length buckets holds one
+    bucket's activations instead of one set per bucket (a fresh per-shape
+    pool of a ``d_model=256`` serving model reaches ~1.5 GB over one
+    trace, all of it first-touch page faults).  Only for callers where no
+    buffer outlives the next request of its slot — the eval forward, where
+    nothing escapes one chunk call.
+    """
+
+    __slots__ = ()
+
+    def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        global _POOL_ALLOCS
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        key = (slot, dtype.char)
+        buf = self._buffers.get(key)
+        profiler = _PROFILER
+        if buf is None or buf.size < size:
+            _POOL_ALLOCS += 1
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+            if profiler is not None:
+                profiler.pool_miss(buf.nbytes)
+        elif profiler is not None:
+            profiler.pool_hit(size * dtype.itemsize)
+        return buf[:size].reshape(shape)
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,19 @@ Two properties make that equivalence hold:
   fallback otherwise — applied row by row, so a chunk boundary can never
   change which flow a packet joins;
 * the per-flow buffer keeps only the first ``max_packets`` rows (the only
-  rows the offline context and its majority label can depend on), and the
-  closed flow re-enters the builder's own ``encode_columns`` as a
-  single-flow batch, so tokenization, truncation and ``[CLS]``/``[SEP]``
-  assembly are literally the same code path.
+  rows the offline context and its majority label can depend on), and
+  closed flows re-enter the builder's own ``encode_columns``, so
+  tokenization, truncation and ``[CLS]``/``[SEP]`` assembly are literally
+  the same code path.
+
+Closure is batched.  Each :meth:`~StreamingFlowAssembler.push` gathers every
+kept row of its chunk with one ``select`` (open flows hold ``(part, start,
+stop)`` references into those per-chunk gathers), and every flow one
+``push``, ``advance_clock`` or ``flush`` closes is encoded by a single
+``encode_columns`` call: the closing flows' rows are concatenated
+flow-major and each flow gets a synthetic group id, so the builder groups
+them with its ``np.unique`` path and returns one row per flow, in closing
+order.
 
 Timeout semantics are shared with the offline feature table: the idle-split
 predicate is :func:`repro.net.flow_columns.is_idle_split`, the rule
@@ -85,7 +94,12 @@ class FlowRecord:
 
 @dataclasses.dataclass
 class _FlowState:
-    """Open-flow buffer: the first ``max_packets`` rows plus counters."""
+    """Open-flow buffer: the first ``max_packets`` rows plus counters.
+
+    ``parts`` lists ``(columns, start, stop)`` references: the flow's kept
+    rows are ``columns[start:stop]`` of each, in arrival order, where
+    ``columns`` is a per-chunk gather shared with the chunk's other flows.
+    """
 
     generation: int
     seq: int
@@ -123,8 +137,9 @@ class StreamingFlowAssembler:
         Optional :class:`repro.obs.trace.TraceRecorder`.  When set, every
         flow open is annotated as a ``first_packet`` event (the capture
         timestamp rides in the ``packet_ts`` attr), every close as a
-        ``flow_closed`` event (reason and packet count), and the offline
-        ``encode_columns`` call is recorded as an ``encode`` span.  Tracing
+        ``flow_closed`` event (reason and packet count), and each closed
+        flow gets an ``encode`` span covering the batched ``encode_columns``
+        call that encoded it (its own token count in ``tokens``).  Tracing
         observes only — the emitted records are bit-identical with or
         without it — and ``None`` (the default) leaves the assembly path
         unchanged.
@@ -206,13 +221,14 @@ class StreamingFlowAssembler:
         further packet of theirs arrived (bounding open-flow state and
         worst-case latency).
         """
-        closed: list[FlowRecord] = []
         if len(chunk) == 0:
-            return closed
+            return []
         timestamps = chunk.timestamps
         per_key: dict[object, list[int]] = {}
         for row, key in enumerate(self._row_keys(chunk)):
             per_key.setdefault(key, []).append(row)
+        closing: list[tuple] = []
+        appends: list[tuple[_FlowState, list[int]]] = []
         for key, rows in per_key.items():
             state = self._flows.get(key)
             segment: list[int] = []
@@ -226,10 +242,10 @@ class StreamingFlowAssembler:
                     )
                     if idle or active:
                         if segment:
-                            self._append(state, chunk, segment)
+                            self._append(state, segment, appends)
                             segment = []
-                        closed.append(
-                            self._close(key, state, "idle" if idle else "active")
+                        closing.append(
+                            self._detach(key, state, "idle" if idle else "active")
                         )
                         state = self._open(key, t, generation=state.generation + 1)
                     else:
@@ -238,39 +254,40 @@ class StreamingFlowAssembler:
                     state = self._open(key, t)
                 segment.append(row)
             if segment:
-                self._append(state, chunk, segment)
-        closed.extend(self.advance_clock(float(timestamps.max())))
-        return closed
+                self._append(state, segment, appends)
+        if appends:
+            # One gather for the whole chunk, flow-major; each flow keeps a
+            # reference to its slice.
+            gathered = chunk.select(np.asarray(
+                [row for _, keep in appends for row in keep], dtype=np.int64
+            ))
+            start = 0
+            for state, keep in appends:
+                state.parts.append((gathered, start, start + len(keep)))
+                start += len(keep)
+        closing.extend(self._expire(float(timestamps.max())))
+        return self._encode(closing)
 
     def advance_clock(self, t: float) -> list[FlowRecord]:
         """Advance the stream clock to ``t`` and evict flows idle against it.
 
-        :meth:`push` calls this with its chunk's largest timestamp; a
-        :class:`ShardedAssembler` additionally broadcasts the *whole* chunk's
-        clock to every shard — including shards that received no rows — so
-        the set of evicted flows (and each record's ``closed_by`` reason) is
-        identical to the single-assembler run on the unsharded stream.
+        :meth:`push` applies the same rule with its chunk's largest
+        timestamp; a :class:`ShardedAssembler` additionally broadcasts the
+        *whole* chunk's clock to every shard — including shards that received
+        no rows — so the set of evicted flows (and each record's
+        ``closed_by`` reason) is identical to the single-assembler run on the
+        unsharded stream.
         """
-        self._clock = max(self._clock, float(t))
-        if self.idle_timeout <= 0:
-            return []
-        return [
-            self._close(key, self._flows[key], "evict")
-            for key in [
-                key
-                for key, state in self._flows.items()
-                if is_idle_split(self._clock - state.last, self.idle_timeout)
-            ]
-        ]
+        return self._encode(self._expire(t))
 
     def flush(self) -> list[FlowRecord]:
         """Close and emit every remaining open flow, in first-arrival order."""
-        return [
-            self._close(key, state, "flush")
+        return self._encode([
+            self._detach(key, state, "flush")
             for key, state in sorted(
                 self._flows.items(), key=lambda item: item[1].seq
             )
-        ]
+        ])
 
     # ------------------------------------------------------------------
     # Resilience hooks
@@ -319,13 +336,7 @@ class StreamingFlowAssembler:
         """
         flows = []
         for key, state in sorted(self._flows.items(), key=lambda i: i[1].seq):
-            columns = None
-            if state.parts:
-                columns = (
-                    state.parts[0]
-                    if len(state.parts) == 1
-                    else type(state.parts[0]).concat(state.parts)
-                )
+            columns = self._gather([state]) if state.parts else None
             flows.append({
                 "key": key,
                 "generation": state.generation,
@@ -369,10 +380,11 @@ class StreamingFlowAssembler:
         self._next_generation = dict(state["next_generation"])
         self._flows = {}
         for flow in state["flows"]:
+            columns = flow["columns"]
             self._flows[flow["key"]] = _FlowState(
                 generation=int(flow["generation"]),
                 seq=int(flow["seq"]),
-                parts=[flow["columns"]] if flow["columns"] is not None else [],
+                parts=[] if columns is None else [(columns, 0, len(columns))],
                 kept=int(flow["kept"]),
                 count=int(flow["count"]),
                 start=float(flow["start"]),
@@ -395,48 +407,104 @@ class StreamingFlowAssembler:
             self.tracer.annotate(key, generation, "first_packet", packet_ts=t)
         return state
 
-    def _append(self, state: _FlowState, chunk: PacketColumns, rows: list[int]) -> None:
+    def _append(self, state: _FlowState, rows: list[int], appends: list) -> None:
+        """Count ``rows`` into ``state``; queue the rows it keeps in
+        ``appends`` for the chunk's single gather."""
         state.count += len(rows)
         quota = self.builder.max_packets - state.kept
         if quota > 0:
             keep = rows[:quota]
-            state.parts.append(chunk[np.asarray(keep, dtype=np.int64)])
+            appends.append((state, keep))
             state.kept += len(keep)
 
-    def _close(self, key: object, state: _FlowState, reason: str) -> FlowRecord:
+    def _detach(self, key: object, state: _FlowState, reason: str) -> tuple:
+        """Remove a closing flow from the open set; it is encoded later."""
         del self._flows[key]
         self._next_generation[key] = state.generation + 1
-        columns = (
-            state.parts[0]
-            if len(state.parts) == 1
-            else type(state.parts[0]).concat(state.parts)
-        )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.annotate(
+        if self.tracer is not None:
+            self.tracer.annotate(
                 key, state.generation, "flow_closed",
                 reason=reason, packet_count=state.count,
             )
+        return key, state, reason
+
+    def _expire(self, t: float) -> list[tuple]:
+        """Advance the clock to ``t``; detach flows idle against it."""
+        self._clock = max(self._clock, float(t))
+        if self.idle_timeout <= 0:
+            return []
+        return [
+            self._detach(key, self._flows[key], "evict")
+            for key in [
+                key
+                for key, state in self._flows.items()
+                if is_idle_split(self._clock - state.last, self.idle_timeout)
+            ]
+        ]
+
+    @staticmethod
+    def _gather(states: list[_FlowState]) -> PacketColumns:
+        """The kept rows of ``states`` as one batch, flow-major.
+
+        One ``concat`` of the distinct per-chunk gathers the flows reference,
+        then one ``select`` of their slices.
+        """
+        parts: list = []
+        offsets: dict[int, int] = {}
+        total = 0
+        index: list[np.ndarray] = []
+        for state in states:
+            for part, start, stop in state.parts:
+                offset = offsets.get(id(part))
+                if offset is None:
+                    offset = offsets[id(part)] = total
+                    parts.append(part)
+                    total += len(part)
+                index.append(np.arange(offset + start, offset + stop))
+        merged = type(parts[0]).concat(parts)
+        return merged.select(np.concatenate(index))
+
+    def _encode(self, closing: list[tuple]) -> list[FlowRecord]:
+        """Encode detached flows with one ``encode_columns`` call."""
+        if not closing:
+            return []
+        states = [state for _, state, _ in closing]
+        batch = self._gather(states)
+        # A synthetic id per flow: the builder groups by it with one
+        # np.unique, numbering groups in closing order.
+        groups = np.repeat(
+            np.arange(len(states), dtype=np.int64),
+            [state.kept for state in states],
+        )
+        batch.connection_ids = groups
+        batch.session_ids = groups
+        tracer = self.tracer
+        if tracer is not None:
             t0 = tracer.clock()
         ids, mask, labels = self.builder.encode_columns(
-            columns, self.tokenizer, self.vocabulary, return_labels=True
+            batch, self.tokenizer, self.vocabulary, return_labels=True
         )
         if tracer is not None:
-            tracer.record_span(
-                key, state.generation, "encode", t0, tracer.clock(),
-                tokens=int(mask[0].sum()),
+            t1 = tracer.clock()
+            tokens = mask.sum(axis=1).tolist()
+            for (key, state, _), count in zip(closing, tokens):
+                tracer.record_span(
+                    key, state.generation, "encode", t0, t1, tokens=count,
+                )
+        return [
+            FlowRecord(
+                key=key,
+                generation=state.generation,
+                token_ids=ids[row],
+                attention_mask=mask[row],
+                label=labels[row],
+                packet_count=state.count,
+                start_time=state.start,
+                end_time=state.last,
+                closed_by=reason,
             )
-        return FlowRecord(
-            key=key,
-            generation=state.generation,
-            token_ids=ids[0],
-            attention_mask=mask[0],
-            label=labels[0],
-            packet_count=state.count,
-            start_time=state.start,
-            end_time=state.last,
-            closed_by=reason,
-        )
+            for row, (key, state, reason) in enumerate(closing)
+        ]
 
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)

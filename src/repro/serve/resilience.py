@@ -568,48 +568,56 @@ def resilient_serve(source, assembler, engine, *, policy: str = "fail_fast",
         else DeadLetterQueue(tracer=engine.tracer)
     )
     report = engine.report
-    engine.classifier = wrap_classifier(engine.classifier, fault_plan)
+    # The run arms the caller's engine with its fault plan and logit guard;
+    # both are restored on every exit (completion, error, or the consumer
+    # closing this generator early), so a later run on the same engine never
+    # inherits this run's dead-letter queue or injected faults.
+    classifier, output_guard = engine.classifier, engine.output_guard
+    engine.classifier = wrap_classifier(classifier, fault_plan)
     engine.output_guard = LogitGuard(policy, dlq, report)
+    try:
+        def rebuild(old):
+            fresh = old.clone()
+            fresh.output_guard = old.output_guard
+            return fresh
 
-    def rebuild(old):
-        fresh = old.clone()
-        fresh.output_guard = old.output_guard
-        return fresh
-
-    supervisor = WorkerSupervisor(
-        engine, rebuild, policy, dlq, report,
-        max_restarts=max_restarts, backoff=restart_backoff,
-    )
-    guard = AssemblyGuard(
-        assembler, policy, dlq, report, fault_plan=fault_plan
-    )
-    stream = iter(wrap_source(source, fault_plan))
-    chunk_index = -1
-    while True:
-        chunk_index += 1
-        try:
-            chunk = next(stream)
-        except StopIteration:
-            break
-        except Exception as error:
-            if policy == "fail_fast":
-                raise
-            for record in guard.source_failure(error, chunk_index):
+        supervisor = WorkerSupervisor(
+            engine, rebuild, policy, dlq, report,
+            max_restarts=max_restarts, backoff=restart_backoff,
+        )
+        guard = AssemblyGuard(
+            assembler, policy, dlq, report, fault_plan=fault_plan
+        )
+        stream = iter(wrap_source(source, fault_plan))
+        chunk_index = -1
+        while True:
+            chunk_index += 1
+            try:
+                chunk = next(stream)
+            except StopIteration:
+                break
+            except Exception as error:
+                if policy == "fail_fast":
+                    raise
+                for record in guard.source_failure(error, chunk_index):
+                    yield from supervisor.submit(record)
+                continue
+            for record in guard.push(chunk):
                 yield from supervisor.submit(record)
-            continue
-        for record in guard.push(chunk):
+        for record in guard.flush():
             yield from supervisor.submit(record)
-    for record in guard.flush():
-        yield from supervisor.submit(record)
-    yield from supervisor.flush()
-    # Fold restart-retired engine reports (and the final engine's) back into
-    # the original engine's report, which is the accumulator the caller sees.
-    final = supervisor.engine
-    if final is not engine:
-        for retired in supervisor.retired_reports:
-            if retired is not engine.report:
-                engine.report.merge(retired)
-        engine.report.merge(final.report)
+        yield from supervisor.flush()
+        # Fold restart-retired engine reports (and the final engine's) back
+        # into the original engine's report, the accumulator the caller sees.
+        final = supervisor.engine
+        if final is not engine:
+            for retired in supervisor.retired_reports:
+                if retired is not engine.report:
+                    engine.report.merge(retired)
+            engine.report.merge(final.report)
+    finally:
+        engine.classifier = classifier
+        engine.output_guard = output_guard
 
 
 # ----------------------------------------------------------------------

@@ -347,6 +347,26 @@ class TestEvalFastPath:
         for fm, rm in zip(fast_maps, ref_maps):
             assert np.array_equal(fm, rm)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_scratch_is_one_buffer_per_slot_across_shapes(self, dtype):
+        """Serving many bucket shapes keeps one scratch buffer per slot, and
+        a forward after a larger one matches a cold forward bit for bit."""
+        shapes = [(2, 5), (4, 16), (3, 1), (1, 9), (4, 16), (5, 13)]
+        rng = np.random.default_rng(3)
+        batches = [
+            (rng.integers(0, 37, shape), random_mask(rng, *shape)) for shape in shapes
+        ]
+        warm = self._classifier().serving_build(dtype)
+        for ids, mask in batches:
+            cold = self._classifier().serving_build(dtype)
+            assert np.array_equal(
+                warm.predict_logits(ids, mask), cold.predict_logits(ids, mask)
+            )
+        buffers = warm._fastpath._pool._buffers
+        assert len({slot for slot, _ in buffers}) == len(buffers)
+        largest = max(b * s for b, s in shapes)
+        assert buffers[("res0", np.dtype(dtype).char)].size == largest * 16
+
     def test_weight_updates_are_picked_up(self):
         clf = self._classifier()
         ids = np.arange(8).reshape(2, 4)

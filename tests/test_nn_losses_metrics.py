@@ -28,12 +28,14 @@ from repro.nn import (
     cross_entropy,
     fpr_at_tpr,
     load_checkpoint,
+    load_state,
     macro_f1,
     mae_loss,
     masked_cross_entropy,
     mse_loss,
     precision_recall_f1,
     save_checkpoint,
+    save_state,
     train_test_split,
     weighted_f1,
     iterate_minibatches,
@@ -283,3 +285,47 @@ class TestTrainerAndData:
             model.state_dict()["layers.items.0.weight"],
             other.state_dict()["layers.items.0.weight"],
         )
+
+    def test_state_is_stored_as_one_array_per_dtype(self, tmp_path):
+        state = {
+            "w": np.arange(6, dtype=np.float64).reshape(2, 3),
+            "b": np.array([0.5, -1.5]),
+            "scale": np.array(2.0),
+            "empty": np.zeros((0, 4)),
+            "half": np.arange(4, dtype=np.float32),
+            "steps": np.array([3, 4], dtype=np.int64),
+        }
+        path = save_state(state, tmp_path / "state.npz", metadata={"step": 9})
+        with np.load(path, allow_pickle=False) as archive:
+            # Metadata plus one member per dtype, not one per parameter.
+            assert len(archive.files) == 1 + 3
+        loaded, metadata = load_state(path)
+        assert metadata == {"step": 9}
+        assert list(loaded) == list(state)
+        for name, value in state.items():
+            assert loaded[name].dtype == value.dtype
+            assert loaded[name].shape == value.shape
+            assert np.array_equal(loaded[name], value)
+
+    def test_reserved_metadata_key_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_state({"w": np.zeros(2)}, tmp_path / "state.npz",
+                       metadata={"__checkpoint_layout__": {}})
+
+    def test_per_array_compressed_checkpoint_still_loads(self, tmp_path):
+        # The earlier layout: one compressed member per parameter, metadata
+        # JSON holding only the caller's entries.
+        model = Sequential(Linear(3, 2, rng=np.random.default_rng(5)))
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            **model.state_dict(),
+            __checkpoint_meta__=np.frombuffer(b'{"step": 3}', dtype=np.uint8),
+        )
+        other = Sequential(Linear(3, 2, rng=np.random.default_rng(6)))
+        assert load_checkpoint(other, path) == {"step": 3}
+        for name, value in model.state_dict().items():
+            assert np.array_equal(other.state_dict()[name], value)
+        state, metadata = load_state(path)
+        assert metadata == {"step": 3}
+        assert sorted(state) == sorted(model.state_dict())

@@ -515,3 +515,275 @@ class TestSources:
         monkeypatch.setattr(stream_module.time, "sleep", naps.append)
         list(ColumnsSource(columns, chunk_rows=64, pace=1000.0))
         assert naps and all(delay >= 0 for delay in naps)
+
+
+# ----------------------------------------------------------------------
+# Batched flow closure
+# ----------------------------------------------------------------------
+BATCH_IDLE = 0.5
+BATCH_ACTIVE = 0.3
+BATCH_MAX_PACKETS = 3
+
+
+def per_flow_reference(columns, chunk_rows, builder, tokenizer, vocabulary,
+                       idle_timeout=0.0, active_timeout=0.0):
+    """Closure rules applied one flow at a time, one encode per closed flow.
+
+    Mirrors the assembler's contract directly: rows grouped per chunk in key
+    first-appearance order, idle/active splits as rows arrive, evictions in
+    open order against the chunk clock, flush in first-arrival order — and
+    each closed flow encoded by itself from its first ``max_packets`` rows.
+    """
+    keyer = StreamingFlowAssembler(tokenizer, vocabulary, builder=builder)
+    flows: dict = {}  # key -> [generation, seq, rows, count, start, last]
+    next_generation: dict = {}
+    seq = 0
+    out = []
+
+    def close(key, reason):
+        generation, _, rows, count, start, last = flows.pop(key)
+        next_generation[key] = generation + 1
+        ids, mask, labels = builder.encode_columns(
+            columns[np.asarray(rows[: builder.max_packets])], tokenizer,
+            vocabulary, return_labels=True,
+        )
+        out.append((key, generation, ids[0].tobytes(), mask[0].tobytes(),
+                    labels[0], count, start, last, reason))
+
+    for first in range(0, len(columns), chunk_rows):
+        rows = np.arange(first, min(first + chunk_rows, len(columns)))
+        per_key: dict = {}
+        for row, key in zip(rows.tolist(), keyer.row_keys(columns[rows])):
+            per_key.setdefault(key, []).append(row)
+        for key, key_rows in per_key.items():
+            for row in key_rows:
+                t = float(columns.timestamps[row])
+                state = flows.get(key)
+                if state is not None:
+                    idle = idle_timeout > 0 and t - state[5] > idle_timeout
+                    active = active_timeout > 0 and t - state[4] > active_timeout
+                    if idle or active:
+                        close(key, "idle" if idle else "active")
+                        flows[key] = [state[0] + 1, seq, [], 0, t, t]
+                        seq += 1
+                if key not in flows:
+                    flows[key] = [next_generation.get(key, 0), seq, [], 0, t, t]
+                    seq += 1
+                state = flows[key]
+                state[2].append(row)
+                state[3] += 1
+                state[5] = t
+        clock = float(columns.timestamps[rows].max())
+        if idle_timeout > 0:
+            for key in [k for k, s in flows.items() if clock - s[5] > idle_timeout]:
+                close(key, "evict")
+    for key in sorted(flows, key=lambda k: flows[k][1]):
+        close(key, "flush")
+    return out
+
+
+def record_tuple(record):
+    return (record.key, record.generation, record.token_ids.tobytes(),
+            record.attention_mask.tobytes(), record.label, record.packet_count,
+            record.start_time, record.end_time, record.closed_by)
+
+
+class CountingBuilder:
+    """Delegating builder counting ``encode_columns`` calls and flows."""
+
+    def __init__(self, builder):
+        self._builder = builder
+        self.calls: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self._builder, name)
+
+    def encode_columns(self, columns, tokenizer, vocabulary, return_labels=False):
+        out = self._builder.encode_columns(
+            columns, tokenizer, vocabulary, return_labels=return_labels
+        )
+        self.calls.append(len(out[0]))
+        return out
+
+
+@pytest.fixture(scope="module")
+def parsed_capture(capture, tmp_path_factory):
+    """The capture written to pcap and read back lazily: no metadata ids."""
+    from repro.net import read_pcap_columns
+
+    _, packets = capture
+    path = tmp_path_factory.mktemp("batched") / "capture.pcap"
+    write_pcap(path, packets)
+    return read_pcap_columns(path, lazy_decode=True)
+
+
+class TestBatchedClosure:
+    """One gather per chunk and one encode per call, same records as per-flow."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256, None])
+    @pytest.mark.parametrize("builder_cls", [FlowContextBuilder, SessionContextBuilder])
+    def test_records_match_per_flow_reference(
+        self, capture, encoded, chunk_rows, builder_cls
+    ):
+        columns, _ = capture
+        tokenizer, vocabulary, *_ = encoded
+        chunk_rows = chunk_rows or len(columns)
+        builder = builder_cls(max_tokens=MAX_TOKENS, max_packets=BATCH_MAX_PACKETS)
+        expected = per_flow_reference(
+            columns, chunk_rows, builder, tokenizer, vocabulary,
+            idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+        )
+        records = stream_records(
+            columns, tokenizer, vocabulary, chunk_rows, builder=builder,
+            idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+        )
+        assert [record_tuple(r) for r in records] == expected
+        assert {r.closed_by for r in records} == {"idle", "active", "evict", "flush"}
+        longest = max(r.packet_count for r in records)
+        assert longest > BATCH_MAX_PACKETS
+        if chunk_rows < len(columns):
+            # Some flows stay open across several chunks before they close.
+            assert longest > chunk_rows
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256, None])
+    def test_pcap_columns_without_ids_match_per_flow_reference(
+        self, parsed_capture, encoded, chunk_rows
+    ):
+        columns = parsed_capture
+        assert (columns.connection_ids < 0).all()
+        tokenizer, vocabulary, *_ = encoded
+        chunk_rows = chunk_rows or len(columns)
+        builder = FlowContextBuilder(
+            max_tokens=MAX_TOKENS, label_key=None, max_packets=BATCH_MAX_PACKETS
+        )
+        expected = per_flow_reference(
+            columns, chunk_rows, builder, tokenizer, vocabulary,
+            idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+        )
+        records = stream_records(
+            columns, tokenizer, vocabulary, chunk_rows, builder=builder,
+            idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+        )
+        assert [record_tuple(r) for r in records] == expected
+        assert all(r.key.startswith("FlowKey(") for r in records)  # 5-tuple keys
+
+    def test_one_encode_per_closing_call(self, capture, encoded):
+        columns, _ = capture
+        tokenizer, vocabulary, *_ = encoded
+        builder = CountingBuilder(FlowContextBuilder(max_tokens=MAX_TOKENS))
+        assembler = StreamingFlowAssembler(
+            tokenizer, vocabulary, builder=builder,
+            idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+        )
+        flows = 0
+        for chunk in chunk_columns(columns, 32):
+            before = len(builder.calls)
+            closed = assembler.push(chunk)
+            assert len(builder.calls) - before == (1 if closed else 0)
+            if closed:
+                assert builder.calls[-1] == len(closed)
+            flows += len(closed)
+        # A clock jump past every idle deadline evicts all open flows at once.
+        end = float(columns.timestamps.max())
+        before = len(builder.calls)
+        evicted = assembler.advance_clock(end + 10)
+        assert len(evicted) > 1 and len(builder.calls) - before == 1
+        assert builder.calls[-1] == len(evicted)
+        assert assembler.advance_clock(end + 20) == []
+        assert assembler.flush() == []
+        assert len(builder.calls) - before == 1
+        flows += len(evicted)
+        # Far fewer calls than flows: encode is batched.
+        assert len(builder.calls) < flows / 2
+
+        # Without timeouts every flow closes at flush, in one call.
+        builder = CountingBuilder(FlowContextBuilder(max_tokens=MAX_TOKENS))
+        assembler = StreamingFlowAssembler(tokenizer, vocabulary, builder=builder)
+        for chunk in chunk_columns(columns, 32):
+            assert assembler.push(chunk) == []
+        assert builder.calls == []
+        flushed = assembler.flush()
+        assert builder.calls == [len(flushed)] and len(flushed) > 1
+
+    def test_checkpoint_holds_real_columns_and_resumes(self, capture, encoded):
+        import pickle
+
+        columns, _ = capture
+        tokenizer, vocabulary, *_ = encoded
+
+        def make():
+            return StreamingFlowAssembler(
+                tokenizer, vocabulary,
+                builder=FlowContextBuilder(
+                    max_tokens=MAX_TOKENS, max_packets=BATCH_MAX_PACKETS
+                ),
+                idle_timeout=BATCH_IDLE, active_timeout=BATCH_ACTIVE,
+            )
+
+        chunks = list(chunk_columns(columns, 7))
+        reference = make()
+        expected = []
+        for chunk in chunks:
+            expected.extend(reference.push(chunk))
+        expected.extend(reference.flush())
+
+        head = make()
+        records = []
+        cut = len(chunks) // 2
+        for chunk in chunks[:cut]:
+            records.extend(head.push(chunk))
+        state = head.checkpoint()
+        assert state["format"] == StreamingFlowAssembler.CHECKPOINT_FORMAT
+        assert state["version"] == 1
+        assert state["flows"]
+        for flow in state["flows"]:
+            assert set(flow) == {
+                "key", "generation", "seq", "kept", "count", "start", "last",
+                "columns",
+            }
+            assert type(flow["columns"]) is PacketColumns
+            # Exactly the flow's kept rows: no shared per-chunk gather leaks.
+            assert len(flow["columns"]) == flow["kept"] <= BATCH_MAX_PACKETS
+        tail = make()
+        tail.restore(pickle.loads(pickle.dumps(state)))
+        for chunk in chunks[cut:]:
+            records.extend(tail.push(chunk))
+        records.extend(tail.flush())
+        assert [record_tuple(r) for r in records] == [
+            record_tuple(r) for r in expected
+        ]
+
+
+class TestResilientServeRestoresEngine:
+    """A resilient run never leaves its guard or fault plan on the engine."""
+
+    def _run(self, capture, encoded, classifier, close_early):
+        from repro.serve import FaultPlan, FaultSpec
+
+        columns, _ = capture
+        tokenizer, vocabulary, *_ = encoded
+        assembler = StreamingFlowAssembler(
+            tokenizer, vocabulary, builder=FlowContextBuilder(max_tokens=MAX_TOKENS)
+        )
+        engine = InferenceEngine(classifier, batch_size=4)
+        original = engine.classifier
+        plan = FaultPlan((FaultSpec("logits", 0, "nan"),))
+        stream = serve_stream(
+            ColumnsSource(columns, chunk_rows=32), assembler, engine,
+            policy="quarantine", fault_plan=plan,
+        )
+        if close_early:
+            next(stream)
+            assert engine.output_guard is not None
+            assert engine.classifier is not original
+            stream.close()
+        else:
+            assert list(stream)
+        assert engine.output_guard is None
+        assert engine.classifier is original
+
+    def test_completed_run(self, capture, encoded, classifier):
+        self._run(capture, encoded, classifier, close_early=False)
+
+    def test_generator_closed_early(self, capture, encoded, classifier):
+        self._run(capture, encoded, classifier, close_early=True)
