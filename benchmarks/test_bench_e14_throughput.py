@@ -111,24 +111,6 @@ SERVING_SPEEDUP_FLOOR = 0.3 if SMOKE else gate_floor("serving_micro_batch", 3.0)
 # the float64 engine's gate with room to spare.
 SERVING_F32_SPEEDUP_FLOOR = 0.3 if SMOKE else gate_floor("serving_f32", 4.0)
 SERVING_BATCH_SIZE = 32
-# Parallel serving fabric (PR 6): serve_stream(workers=k) vs the synchronous
-# single-threaded pipeline over the same stream.  The 2.5x promise needs
-# cores for the workers to run on; on a smaller host (this repo's reference
-# container has one core) the fabric cannot beat the sync path — the GIL
-# serializes everything but the BLAS calls — so the gate degrades to a
-# no-collapse bound: pipelining overhead must stay modest, not pay for
-# itself.  The core count is recorded in BENCH_e14.json next to the ratio.
-try:
-    CPU_CORES = len(os.sched_getaffinity(0))
-except AttributeError:  # pragma: no cover - non-Linux
-    CPU_CORES = os.cpu_count() or 1
-SERVING_PARALLEL_WORKERS = 4
-if SMOKE:
-    SERVING_PARALLEL_FLOOR = 0.2
-elif CPU_CORES >= SERVING_PARALLEL_WORKERS:
-    SERVING_PARALLEL_FLOOR = max(gate_floor("serving_parallel", 2.5), 2.5)
-else:
-    SERVING_PARALLEL_FLOOR = gate_floor("serving_parallel", 0.5)
 # Fused model kernels (PR 7): the fused tape (fused attention/layernorm/
 # cross-entropy nodes, preallocated grad buffers, in-place optimizer) vs the
 # composed reference path on the same model and data, and the tape-free
@@ -691,104 +673,6 @@ def measure_serving() -> dict[str, dict[str, float]]:
     }
 
 
-def _serving_parallel_times() -> dict[str, float]:
-    """Time the parallel serving fabric vs the synchronous pipeline.
-
-    Both sides run the full ``source -> assembler -> engine`` stream over
-    the same capture (cache disabled, so the ratio measures the pipeline,
-    not memoization): the synchronous side is ``serve_stream`` in the
-    calling thread, the fabric side ``serve_stream(workers=k)`` — sharded
-    assembly, bounded queues, ``k`` inference workers with replicated
-    classifiers.  Before timing, the fabric's served multiset is verified
-    bit-identical to the synchronous path's (the fabric must stay correct
-    while being fast).
-    """
-    from repro.core import SequenceClassifier
-    from repro.serve import (
-        ColumnsSource,
-        InferenceEngine,
-        StreamingFlowAssembler,
-        serve_stream,
-    )
-
-    packets = build_trace(TRACE_PACKETS)
-    columns = PacketColumns.from_packets(packets)
-    tokenizer = FieldAwareTokenizer()
-    builder = FlowContextBuilder(max_tokens=64)
-    contexts = builder.build(packets, tokenizer)
-    vocabulary = Vocabulary.build([c.tokens for c in contexts])
-    config = NetFMConfig(
-        vocab_size=len(vocabulary), d_model=32, num_layers=2, num_heads=4,
-        d_ff=64, max_len=64, dropout=0.0, seed=0,
-    )
-    classifier = SequenceClassifier(NetFoundationModel(config), num_classes=4)
-
-    def pipeline(workers):
-        assembler = StreamingFlowAssembler(
-            tokenizer, vocabulary, builder=FlowContextBuilder(max_tokens=64)
-        )
-        engine = InferenceEngine(classifier, batch_size=SERVING_BATCH_SIZE)
-        return list(
-            serve_stream(
-                ColumnsSource(columns, chunk_rows=256),
-                assembler, engine, workers=workers,
-            )
-        )
-
-    reference = pipeline(None)
-    fabric = pipeline(SERVING_PARALLEL_WORKERS)
-    key = lambda p: (  # noqa: E731 - local comparison key
-        str(p.record.key), p.record.generation,
-        p.record.token_ids.tobytes(), p.logits.tobytes(),
-    )
-    assert sorted(map(key, fabric)) == sorted(map(key, reference))
-
-    single_time = _best_of(lambda: pipeline(None))
-    fabric_time = _best_of(lambda: pipeline(SERVING_PARALLEL_WORKERS))
-    return {
-        "flows": len(reference),
-        "single": single_time,
-        "fabric": fabric_time,
-        "workers": SERVING_PARALLEL_WORKERS,
-    }
-
-
-def measure_serving_parallel() -> dict[str, float]:
-    """Fabric vs synchronous serving pipeline (fresh subprocess, best-of-3).
-
-    Like :func:`measure_serving`: the ratio is wall-clock over model
-    forwards and thread scheduling, so it runs on a cold allocator in a
-    child process when possible.
-    """
-    if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
-        )
-        child = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import json\n"
-                "from benchmarks.test_bench_e14_throughput import _serving_parallel_times\n"
-                "print(json.dumps(_serving_parallel_times()))",
-            ],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        if child.returncode == 0:
-            times = json.loads(child.stdout.strip().splitlines()[-1])
-        else:  # pragma: no cover - subprocess unavailable
-            times = _serving_parallel_times()
-    else:
-        times = _serving_parallel_times()
-    return {
-        "per_packet_tok_s": times["flows"] / times["single"],  # flows/s
-        "batched_tok_s": times["flows"] / times["fabric"],
-        "speedup": times["single"] / times["fabric"],
-        "workers": times["workers"],
-    }
-
-
 def _model_times() -> dict[str, float]:
     """Time the fused model kernels against the composed reference paths.
 
@@ -1037,7 +921,6 @@ def run_experiment() -> dict[str, dict[str, float]]:
         rows[f"train/{name}"] = row
     rows.update(measure_model())
     rows.update(measure_serving())
-    rows["serve/parallel (fabric)"] = measure_serving_parallel()
     return rows
 
 
@@ -1093,9 +976,6 @@ def test_bench_e14_throughput(benchmark):
     # (identical class predictions and cache-hit pattern asserted in
     # _serving_times).
     assert rows["serve/micro-batch (engine, f32)"]["speedup"] >= SERVING_F32_SPEEDUP_FLOOR
-    # Gate: the parallel fabric vs the synchronous pipeline — >= 2.5x with
-    # cores to run the workers on, a no-collapse bound on smaller hosts.
-    assert rows["serve/parallel (fabric)"]["speedup"] >= SERVING_PARALLEL_FLOOR
     # Gate: no batched encode path loses to its per-packet twin.
     for name, row in rows.items():
         if name.startswith("encode/"):

@@ -11,9 +11,9 @@ An end-to-end `repro.serve` deployment:
 4. serve the closed flows through the micro-batching ``InferenceEngine``
    with an LRU prediction cache keyed by the encoded context;
 5. print the serving scorecard: throughput, p50/p99 latency, cache hits;
-6. replay the same stream through the parallel serving fabric
-   (``serve_stream(..., workers=2)``: sharded assembly, bounded queues,
-   per-worker engines) and verify it served the identical multiset.
+6. replay the same stream through a 2-shard ``ShardedAssembler``
+   (hash-partitioned flow state, driven by the same ``serve_stream`` loop)
+   and verify it served the identical multiset of records and logits.
 
 Run with:  python examples/streaming_inference.py
 """
@@ -31,10 +31,10 @@ from repro.core import (
     SequenceClassifier,
 )
 from repro.serve import (
+    ColumnsSource,
     InferenceEngine,
     PredictionCache,
-    ScenarioSource,
-    ServingFabric,
+    ShardedAssembler,
     StreamingFlowAssembler,
     serve_stream,
 )
@@ -52,7 +52,7 @@ def scenario(seed: int) -> EnterpriseScenario:
 
 
 def main() -> None:
-    print("[1/3] Offline: train a flow classifier on one capture ...")
+    print("[1/4] Offline: train a flow classifier on one capture ...")
     tokenizer = FieldAwareTokenizer()
     builder = FlowContextBuilder(max_tokens=MAX_TOKENS)
     train_columns = scenario(seed=1).generate_columns()
@@ -74,18 +74,32 @@ def main() -> None:
     print(f"        {len(keep)} labelled flows, {encoder.num_classes} classes")
 
     print("[2/4] Online: stream a fresh capture through the serving stack ...")
-    source = ScenarioSource(scenario(seed=2), chunk_rows=256)
-    assembler = StreamingFlowAssembler(
-        tokenizer, vocabulary,
-        builder=FlowContextBuilder(max_tokens=MAX_TOKENS),
-        idle_timeout=60.0,
-    )
-    engine = InferenceEngine(
-        classifier, batch_size=32, cache=PredictionCache(max_entries=4096)
-    )
-    served: Counter = Counter()
-    for prediction in serve_stream(source, assembler, engine):
-        served[encoder.classes[prediction.class_id]] += 1
+    capture = scenario(seed=2).generate_columns()
+
+    def make_assembler() -> StreamingFlowAssembler:
+        return StreamingFlowAssembler(
+            tokenizer, vocabulary,
+            builder=FlowContextBuilder(max_tokens=MAX_TOKENS),
+            idle_timeout=60.0,
+        )
+
+    def make_engine() -> InferenceEngine:
+        return InferenceEngine(
+            classifier, batch_size=32, cache=PredictionCache(max_entries=4096)
+        )
+
+    def served_multiset(predictions) -> Counter:
+        return Counter(
+            (str(p.record.key), p.record.generation,
+             p.record.token_ids.tobytes(), p.logits.tobytes())
+            for p in predictions
+        )
+
+    engine = make_engine()
+    predictions = list(serve_stream(
+        ColumnsSource(capture, chunk_rows=256), make_assembler(), engine
+    ))
+    served = Counter(encoder.classes[p.class_id] for p in predictions)
 
     print("[3/4] Serving scorecard")
     summary = engine.summary()
@@ -102,31 +116,16 @@ def main() -> None:
     for label, count in served.most_common():
         print(f"          {label:24} {count}")
 
-    print("[4/4] Parallel fabric: same stream, 2 workers, identical multiset ...")
-    fabric = ServingFabric(
-        ScenarioSource(scenario(seed=2), chunk_rows=256),
-        StreamingFlowAssembler(
-            tokenizer, vocabulary,
-            builder=FlowContextBuilder(max_tokens=MAX_TOKENS),
-            idle_timeout=60.0,
-        ),
-        InferenceEngine(
-            classifier, batch_size=32, cache=PredictionCache(max_entries=4096)
-        ),
-        workers=2,
+    print("[4/4] Sharded assembly: same stream, 2 shards, identical multiset ...")
+    sharded = ShardedAssembler.from_template(make_assembler(), 2)
+    sharded_predictions = list(serve_stream(
+        ColumnsSource(capture, chunk_rows=256), sharded, make_engine()
+    ))
+    assert served_multiset(sharded_predictions) == served_multiset(predictions), (
+        "sharded assembly must serve the identical records and logits"
     )
-    fabric_served = Counter(
-        encoder.classes[prediction.class_id] for prediction in fabric
-    )
-    assert fabric_served == served, "fabric must serve the identical multiset"
-    fabric_summary = fabric.summary()
-    for name, stats in sorted(fabric_summary["workers"].items()):
-        print(f"        {name}: {stats['flows']} flows"
-              f"  {stats['batches']} batches"
-              f"  utilization {stats['utilization']:.0%}")
-    depths = fabric_summary["queues"]
-    print(f"        chunk queue max depth {depths['chunks']['max_depth']}"
-          f"  (bound 8) — backpressure held")
+    print(f"        {len(sharded_predictions)} flows over"
+          f" {sharded.num_shards} shards: records and logits identical")
 
 
 if __name__ == "__main__":

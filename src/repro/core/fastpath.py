@@ -40,9 +40,12 @@ head-packed contiguous ``(b*h, s, ·)`` score/context gemms,
 gemv-against-ones softmax/layernorm reductions
 (:func:`~repro.nn.kernels.eval_attention_packed`,
 :func:`~repro.nn.kernels.eval_layer_norm_packed`), and every remaining
-``(b, s, ·) @ (·, ·)`` projection reshaped to a single 2D gemm.  Both
-serving contracts above (batch invariance, attention recording) hold for
-that path too.  Float64 keeps the bit-exact replay unchanged.
+``(b, s, ·) @ (·, ·)`` projection reshaped to a single 2D gemm.  Attention
+recording holds for that path too; batch invariance does not: packed gemms
+round differently per batch shape, so a float32 row's logits can move in
+the last bits with the rows it is batched with.  Every packing stays within
+the ``logits`` ulp budget of the float64 reference, which is the float32
+contract.  Float64 keeps the bit-exact replay unchanged.
 """
 
 from __future__ import annotations

@@ -40,9 +40,8 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "tensor_allocati
 
 
 # Grad mode is per-thread (like torch): concurrent no_grad() windows in
-# different threads — e.g. the serving fabric's inference workers — must not
-# race on one flag, where interleaved save/restores can strand the process
-# with gradients disabled.
+# different threads must not race on one flag, where interleaved
+# save/restores can strand the process with gradients disabled.
 _GRAD_STATE = threading.local()
 
 

@@ -228,8 +228,8 @@ class ScratchPool:
         return buf
 
     def __deepcopy__(self, memo):
-        # Scratch contents are never reused across calls; clones (serving
-        # fabric workers deep-copy their engines) start with an empty pool.
+        # Scratch contents are never reused across calls; deep-copied
+        # models start with an empty pool.
         return type(self)()
 
 

@@ -4,8 +4,9 @@ Three surfaces, one substrate:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges
   and fixed-bucket log-scale histograms.  Bounded memory (O(buckets), never
-  O(observations)), exactly mergeable across fabric workers, exportable as
-  JSON.  :class:`repro.serve.report.ServingReport` and
+  O(observations)), exactly mergeable (a restarted engine's report folds
+  into its predecessor's), exportable as JSON.
+  :class:`repro.serve.report.ServingReport` and
   :class:`repro.nn.trainer.TrainingHistory` are both expressed over it.
 * :mod:`repro.obs.trace` — :class:`TraceRecorder` collecting per-flow spans
   (first_packet → flow_closed → encode → batched → inferred → emitted, plus

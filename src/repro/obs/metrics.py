@@ -10,11 +10,12 @@ have:
   O(observations).  The :class:`Histogram` here is a fixed-bucket log-scale
   histogram — a few hundred int64 bucket counts plus exact count/sum/min/max
   — so a million observations costs the same memory as ten.
-* **Exact mergeability.**  Fabric workers account independently and their
-  reports are folded at the end.  Counter merges are sums, histogram merges
-  are bucket-wise sums (same fixed bucket layout on every worker), gauge
-  merges combine min/max — all commutative and associative, so any merge
-  order over any worker count yields the identical registry.
+* **Exact mergeability.**  Independently accounted registries (an engine
+  and the engines a supervisor restarted in its place) are folded at the
+  end.  Counter merges are sums, histogram merges are bucket-wise sums (same
+  fixed bucket layout everywhere), gauge merges combine min/max — all
+  commutative and associative, so any merge order over any number of
+  registries yields the identical registry.
 * **JSON export.**  Every metric snapshots to a plain-JSON dict
   (:meth:`MetricsRegistry.to_dict` / :meth:`MetricsRegistry.to_json`), the
   machine surface ``BENCH_e14.json`` and the trace tooling consume.
@@ -62,7 +63,7 @@ class Gauge:
     ``set`` records the latest level; the envelope (``min``/``max``) and the
     sample count are exact.  Merging combines the envelopes and takes the
     **max** of the two latest levels — the only commutative choice that
-    keeps "worst level seen anywhere" meaningful across fabric workers,
+    keeps "worst level seen anywhere" meaningful across merged registries,
     where "latest" has no global order.
     """
 
@@ -277,7 +278,8 @@ class MetricsRegistry:
     instrumented layers can share one registry without coordination.
     :meth:`merge` folds another registry in — metrics present in both merge
     exactly; metrics only the other side has are copied in — which is what
-    the serving fabric does with per-worker registries at shutdown.
+    the serving loop does with the reports of engines a worker supervisor
+    restarted.
     """
 
     def __init__(self):

@@ -25,27 +25,25 @@ substrate into an *online* engine, the system shape the paper's
   resilience layer also accept a :class:`repro.obs.trace.TraceRecorder`
   for per-flow trace spans (see ``docs/OBSERVABILITY.md``);
 * :mod:`repro.serve.faults` — :class:`FaultPlan`, the deterministic seeded
-  fault injector (corrupt chunks, stage raises, stalls, NaN logits) the
-  chaos harness drives;
+  fault injector (corrupt chunks, stage raises, NaN logits) the chaos
+  harness drives;
 * :mod:`repro.serve.resilience` — per-stage error policies
   (``fail_fast``/``quarantine``/``degrade``), the :class:`DeadLetterQueue`
   with full drop provenance, the :class:`WorkerSupervisor` (bounded
-  restarts, backoff, in-flight replay), the stage :class:`Watchdog`, and
-  assembler checkpoint/restore helpers.
+  restarts, backoff, in-flight replay), and assembler checkpoint/restore
+  helpers.
 
 ``serve_stream(source, assembler, engine)`` wires the three stages into a
-single generator of :class:`FlowPrediction` objects;
-``serve_stream(..., workers=k)`` runs them as the concurrent
-:mod:`repro.serve.fabric` pipeline — hash-sharded flow assembly
-(:class:`ShardedAssembler`), bounded inter-stage queues, and a pool of
-``k`` inference workers with per-worker cache shards, serving a multiset
-of records and logits bit-identical to the single-threaded path.  See
-``docs/SERVING.md`` and ``examples/streaming_inference.py``.
+single generator of :class:`FlowPrediction` objects, in one loop in the
+calling thread; its resilience options swap guarded stand-ins in for the
+stages and run the same loop.  A :class:`ShardedAssembler` (hash-partitioned
+flow state) drops in for the assembler and serves a multiset of records and
+logits bit-identical to the unsharded one.  See ``docs/SERVING.md`` and
+``examples/streaming_inference.py``.
 """
 
 from .assembler import FlowRecord, ShardedAssembler, StreamingFlowAssembler
 from .engine import FlowPrediction, InferenceEngine, PredictionCache, serve_stream
-from .fabric import ServingFabric
 from .faults import (
     FAULT_SITES,
     AssemblyFaultError,
@@ -66,11 +64,8 @@ from .resilience import (
     DeadLetterQueue,
     LogitGuard,
     PoisonedLogitsError,
-    StageStallError,
-    Watchdog,
     WorkerSupervisor,
     load_checkpoint,
-    resilient_serve,
     save_checkpoint,
 )
 from .stream import (
@@ -94,7 +89,6 @@ __all__ = [
     "FlowRecord",
     "StreamingFlowAssembler",
     "ShardedAssembler",
-    "ServingFabric",
     "PredictionCache",
     "FlowPrediction",
     "InferenceEngine",
@@ -116,12 +110,9 @@ __all__ = [
     "LogitGuard",
     "ChunkIntegrityError",
     "PoisonedLogitsError",
-    "StageStallError",
     "DeadLetter",
     "DeadLetterQueue",
     "WorkerSupervisor",
-    "Watchdog",
-    "resilient_serve",
     "save_checkpoint",
     "load_checkpoint",
 ]

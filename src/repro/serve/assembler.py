@@ -571,8 +571,8 @@ class ShardedAssembler:
     always hash through the string path.
 
     ``push``/``flush`` are synchronous — sharding partitions the *state*,
-    the :class:`~repro.serve.fabric.ServingFabric` provides the threads.
-    Records closed by one call are merged in stream-clock order
+    and :func:`~repro.serve.engine.serve_stream` drives it like any
+    assembler.  Records closed by one call are merged in stream-clock order
     (``end_time``, then ``start_time``, key and generation as tie-breaks),
     deterministically for any shard count.
     """

@@ -4,11 +4,13 @@ One flow at a time, a transformer forward wastes almost all of its time on
 per-call overhead; the :class:`InferenceEngine` therefore *micro-batches*:
 closed flows accumulate in length buckets and are run through one
 eval-mode forward per bucket, trimmed to the bucket's longest real row (the
-packed-batch discipline of PR 1).  Rows are computed independently, so the
-engine is deterministic in the record sequence — streaming the same trace
-through any chunking produces bit-identical logits — and its class
-predictions match the offline batched solver path (whose fixed-width
-forward can differ from a trimmed one only in the last ulp of the logits).
+packed-batch discipline).  The engine is deterministic in the record
+sequence, and float64 rows are computed independently of their batch, so
+streaming the same trace through any chunking produces bit-identical
+float64 logits (float32 builds stay within the documented ulp budget
+instead).  Class predictions match the offline batched solver path (whose
+fixed-width forward can differ from a trimmed one only in the last ulp of
+the logits).
 
 Repeated traffic is cheaper still: a :class:`PredictionCache` keyed by the
 encoded context (:attr:`~repro.serve.assembler.FlowRecord.cache_key` — the
@@ -169,7 +171,6 @@ class InferenceEngine:
         max_pending: int = 256,
         cache: "PredictionCache | None" = None,
         bucket_rounding: int = 1,
-        lock=None,
         serve_dtype: "str | None" = None,
         tracer=None,
     ):
@@ -194,19 +195,11 @@ class InferenceEngine:
         self.max_pending = max_pending
         self.cache = cache
         self.bucket_rounding = bucket_rounding
-        # Optional forward lock: the fabric's replicate_model=False mode
-        # shares one classifier across worker engines, and the autograd
-        # stack's eval/train mode is shared state — the lock serializes the
-        # forwards so a worker can never flip a sibling mid-batch.
-        self.lock = lock
         # Optional output guard (resilience): called as guard(record, row)
         # for every non-finite logits row before the batch is emitted;
         # returns "drop"/"degrade" or raises, per policy.
         self.output_guard = None
         self.tracer = tracer
-        #: Optional label the fabric stamps on this engine's trace events
-        #: (its worker name), so a merged trace attributes work to workers.
-        self.trace_worker: "str | None" = None
         self._completed_backlog: list[FlowPrediction] = []
         # Bucket entries are (record, submitted, trace_submit): the report
         # timestamp and, when tracing, the tracer-clock submit time the
@@ -221,18 +214,16 @@ class InferenceEngine:
         self.report.model_dtype = self.model_dtype
         self.report.numeric_policy = _numeric_policy(self.model_dtype)
 
-    def clone(self, classifier=None, lock=None) -> "InferenceEngine":
+    def clone(self) -> "InferenceEngine":
         """A fresh engine with this one's configuration and empty state.
 
-        The fabric builds its per-worker engines this way: same batch size,
-        backpressure bound and bucket rounding, but an independent bucket
-        map, report, and — when the template carried a cache — a fresh
-        :class:`PredictionCache` shard of the same capacity (per-worker
-        caches are never shared, so no cache locking is needed and hits
-        stay bit-identical to the forward they replace).
+        The worker supervisor restarts a crashed engine this way: same
+        classifier, batch size, backpressure bound and bucket rounding, but
+        an independent bucket map, report, and — when the original carried
+        a cache — an empty :class:`PredictionCache` of the same capacity.
         """
         return InferenceEngine(
-            classifier if classifier is not None else self.classifier,
+            self.classifier,
             batch_size=self.batch_size,
             max_pending=self.max_pending,
             cache=(
@@ -240,7 +231,6 @@ class InferenceEngine:
                 else PredictionCache(max_entries=self.cache.max_entries)
             ),
             bucket_rounding=self.bucket_rounding,
-            lock=lock,
             tracer=self.tracer,
         )
 
@@ -296,7 +286,10 @@ class InferenceEngine:
                     tracer.annotate(
                         record.key, record.generation, "cache_hit", t=t,
                     )
-                    self._annotate_emitted(record, t, cached=True)
+                    tracer.annotate(
+                        record.key, record.generation, "emitted", t=t,
+                        cached=True,
+                    )
                 return [prediction]
         width = len(record)
         bucket = -(-width // self.bucket_rounding) * self.bucket_rounding
@@ -360,13 +353,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _annotate_emitted(self, record, t: float, **attrs) -> None:
-        if self.trace_worker is not None:
-            attrs["worker"] = self.trace_worker
-        self.tracer.annotate(
-            record.key, record.generation, "emitted", t=t, **attrs
-        )
-
     def _run_bucket(self, bucket: int) -> list[FlowPrediction]:
         queue = self._buckets.pop(bucket, [])
         if not queue:
@@ -376,24 +362,18 @@ class InferenceEngine:
         ids = np.stack([record.token_ids[:width] for record in records])
         mask = np.stack([record.attention_mask[:width] for record in records])
         # Batch invariance (a lone row's logits matching the same row inside
-        # any batch) is guaranteed by the classifier's eval fast path, which
-        # runs singleton chunks as a duplicated pair at the kernel layer —
-        # the engine no longer needs to duplicate rows itself.
+        # any batch) is guaranteed for float64 builds by the classifier's
+        # eval fast path, which runs singleton chunks as a duplicated pair
+        # at the kernel layer; float32 builds hold the ulp budget instead.
         # Exact-length buckets carry no padding, so attention needs no mask
         # at all — skipping it is bit-identical and skips the (batch, heads,
         # seq, seq) mask temporaries, the forward's largest arrays.
         tracer = self.tracer
         try:
             t_forward = tracer.clock() if tracer is not None else 0.0
-            if self.lock is not None:
-                with self.lock:
-                    logits = self.classifier.predict_logits(
-                        ids, None if mask.all() else mask, batch_size=len(ids)
-                    )
-            else:
-                logits = self.classifier.predict_logits(
-                    ids, None if mask.all() else mask, batch_size=len(ids)
-                )
+            logits = self.classifier.predict_logits(
+                ids, None if mask.all() else mask, batch_size=len(ids)
+            )
             t_done = tracer.clock() if tracer is not None else 0.0
             # Poisoned-output scan happens before any row is cached or
             # emitted, so a fail_fast guard raise leaves the whole batch
@@ -442,8 +422,9 @@ class InferenceEngine:
                     record.key, record.generation, "inferred",
                     t_forward, t_done, batch=len(records),
                 )
-                self._annotate_emitted(
-                    record, t_done, cached=False, degraded=degraded,
+                tracer.annotate(
+                    record.key, record.generation, "emitted", t=t_done,
+                    cached=False, degraded=degraded,
                 )
             predictions.append(prediction)
         return predictions
@@ -453,68 +434,61 @@ def serve_stream(
     source,
     assembler,
     engine,
-    workers: "int | None" = None,
     *,
     policy: str = "fail_fast",
     fault_plan=None,
     dead_letters=None,
     max_restarts: int = 0,
     restart_backoff: float = 0.05,
-    **fabric_options,
 ):
     """Drive ``source -> assembler -> engine``; yield every prediction once.
 
-    With ``workers=None`` (the default) the stages run synchronously in the
-    calling thread: chunks stream from the source, the assembler closes
-    flows (by timeout mid-stream, and the remainder at end of stream), and
-    the engine micro-batches the closed flows through the model, in order.
-
-    With ``workers=k`` the same stages run as the concurrent
-    :class:`~repro.serve.fabric.ServingFabric`: a source thread, a
-    hash-sharded assembly stage and ``k`` inference workers with per-worker
-    cache shards, connected by bounded queues.  The served multiset of
-    records and logits is bit-identical to the synchronous path for any
-    chunk size and worker count; only arrival order is
-    scheduling-dependent.  Extra ``fabric_options`` (``shards``,
-    ``chunk_queue``, ``record_queue``, ``output_queue``,
-    ``replicate_model``, ``stall_timeout``) are passed through.
+    The stages run in the calling thread, in one loop: chunks stream from
+    the source, the assembler closes flows (by timeout mid-stream, and the
+    remainder at end of stream), and the engine micro-batches the closed
+    flows through the model, in order.  The loop uses nothing but
+    ``iter(source)``, ``assembler.push``/``flush`` and
+    ``engine.submit``/``flush``, so a
+    :class:`~repro.serve.assembler.ShardedAssembler` (or any object with
+    that interface) serves unchanged.
 
     Resilience (see :mod:`repro.serve.resilience`): ``policy`` selects the
-    per-stage error policy (``"fail_fast"`` — today's behavior and the
-    default — ``"quarantine"`` or ``"degrade"``), ``fault_plan`` arms a
-    seeded :class:`~repro.serve.faults.FaultPlan`, ``dead_letters`` supplies
-    a :class:`~repro.serve.resilience.DeadLetterQueue` to collect drop
+    per-stage error policy (``"fail_fast"`` — the default — ``"quarantine"``
+    or ``"degrade"``), ``fault_plan`` arms a seeded
+    :class:`~repro.serve.faults.FaultPlan`, ``dead_letters`` supplies a
+    :class:`~repro.serve.resilience.DeadLetterQueue` to collect drop
     provenance, and ``max_restarts``/``restart_backoff`` configure the
-    worker supervisor.  With every knob at its default the synchronous path
-    is the exact legacy loop (zero overhead, unchanged semantics).
+    worker supervisor.  When any of them is non-default, an
+    :class:`~repro.serve.resilience.ArmedRun` substitutes guarded stand-ins
+    for the three stages and the same loop runs over them; the caller's
+    engine gets its classifier and output guard back on every exit,
+    including the consumer closing this generator early.  With every knob
+    at its default nothing is wrapped.
     """
-    if workers is not None:
-        from .fabric import ServingFabric
+    armed = None
+    if (
+        policy != "fail_fast"
+        or fault_plan is not None
+        or dead_letters is not None
+        or max_restarts > 0
+    ):
+        from .resilience import ArmedRun
 
-        yield from ServingFabric(
-            source, assembler, engine, workers=workers,
+        armed = ArmedRun(
+            source, assembler, engine,
             policy=policy, fault_plan=fault_plan, dead_letters=dead_letters,
             max_restarts=max_restarts, restart_backoff=restart_backoff,
-            **fabric_options,
         )
-        return
-    if (
-        policy == "fail_fast"
-        and fault_plan is None
-        and dead_letters is None
-        and max_restarts == 0
-    ):
+        source, assembler, engine = armed.source, armed.assembler, armed.engine
+    try:
         for chunk in source:
             for record in assembler.push(chunk):
                 yield from engine.submit(record)
         for record in assembler.flush():
             yield from engine.submit(record)
         yield from engine.flush()
-        return
-    from .resilience import resilient_serve
-
-    yield from resilient_serve(
-        source, assembler, engine,
-        policy=policy, fault_plan=fault_plan, dead_letters=dead_letters,
-        max_restarts=max_restarts, restart_backoff=restart_backoff,
-    )
+        if armed is not None:
+            armed.fold_reports()
+    finally:
+        if armed is not None:
+            armed.restore()

@@ -3,24 +3,21 @@
 A :class:`FaultPlan` is a schedule of :class:`FaultSpec` entries, each naming
 a *site* (``source``, ``assembly``, ``forward``, ``logits``), the ordinal at
 which it fires at that site, and what it does there (raise, corrupt a chunk,
-stall, poison logits with NaN).  The plan is consulted by thin wrappers —
+poison logits with NaN).  The plan is consulted by thin wrappers —
 :func:`wrap_source` around a chunk iterator and :func:`wrap_classifier`
 around a ``SequenceClassifier`` — so the production pipeline code never has
 to know whether faults are armed.  Everything is counter-based and seeded,
 which makes chaos runs exactly reproducible: the same plan against the same
 stream fires the same faults at the same records every time.
 
-Plans are shared-state objects (one plan may be consulted from several
-fabric threads), so the ordinal counters live behind a lock, and classifier
-wrappers share the plan across ``deepcopy`` (per-worker engine clones all
-consult the same schedule).
+Plans are shared-state objects (one plan is consulted by the source, the
+assembler and every engine a supervisor restarts), so the ordinal counters
+live behind a lock.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +39,7 @@ FAULT_SITES = ("source", "assembly", "forward", "logits")
 
 #: What a fault does when it fires, per site.
 FAULT_KINDS = {
-    "source": ("raise", "corrupt", "stall"),
+    "source": ("raise", "corrupt"),
     "assembly": ("raise",),
     "forward": ("raise",),
     "logits": ("nan",),
@@ -84,14 +81,12 @@ class FaultSpec:
                 number for ``forward``/``logits``).
     ``kind``  — site-specific action (see :data:`FAULT_KINDS`).
     ``count`` — how many consecutive ordinals the fault covers.
-    ``delay`` — for ``stall`` faults, seconds to sleep before delivering.
     """
 
     site: str
     index: int
     kind: str
     count: int = 1
-    delay: float = 0.0
 
     def __post_init__(self):
         if self.site not in FAULT_SITES:
@@ -151,12 +146,11 @@ class FaultPlan:
         specs = []
         for _ in range(faults):
             site = str(rng.choice(list(sites)))
-            kinds = [k for k in FAULT_KINDS[site] if k != "stall"]
             specs.append(
                 FaultSpec(
                     site=site,
                     index=int(rng.integers(0, max_index)),
-                    kind=str(rng.choice(kinds)),
+                    kind=str(rng.choice(list(FAULT_KINDS[site]))),
                 )
             )
         return cls(specs=tuple(specs))
@@ -206,9 +200,6 @@ class _FaultySource:
         spec = self._plan.take("source")
         if spec is None:
             return chunk
-        if spec.kind == "stall":
-            time.sleep(spec.delay)
-            return chunk
         if spec.kind == "corrupt":
             return _corrupt_chunk(chunk, seed=spec.index)
         raise SourceFaultError(
@@ -226,12 +217,7 @@ def wrap_source(source, plan: "FaultPlan | None"):
 
 
 class FaultInjectedClassifier:
-    """Classifier proxy that consults ``forward``/``logits`` faults.
-
-    ``deepcopy`` (per-worker engine clones) copies the inner classifier but
-    *shares* the plan, so a multi-worker fabric still fires each scheduled
-    fault exactly once across the pool.
-    """
+    """Classifier proxy that consults ``forward``/``logits`` faults."""
 
     def __init__(self, classifier, plan: FaultPlan):
         self._classifier = classifier
@@ -254,10 +240,6 @@ class FaultInjectedClassifier:
 
     def __getattr__(self, name):
         return getattr(self._classifier, name)
-
-    def __deepcopy__(self, memo):
-        inner = copy.deepcopy(self._classifier, memo)
-        return FaultInjectedClassifier(inner, self._plan)
 
 
 def wrap_classifier(classifier, plan: "FaultPlan | None"):

@@ -9,12 +9,12 @@ into the numbers ``tools/bench_report.py`` publishes in ``BENCH_e14.json``
 Since the observability layer landed, the report is backed by a
 :class:`repro.obs.metrics.MetricsRegistry` rather than raw Python lists:
 
-* **Bounded memory.**  Latency, batch-size and queue-depth series are
+* **Bounded memory.**  Latency and batch-size series are
   fixed-bucket log-scale histograms — a million observations costs the
   same memory as ten (regression-tested in ``tests/test_obs.py``).
-* **Exact merges.**  :meth:`merge` folds fabric workers' reports by
-  bucket-wise addition — commutative and associative, so any merge order
-  over any worker count yields the identical registry.
+* **Exact merges.**  :meth:`merge` folds the reports of engines a worker
+  supervisor restarted by bucket-wise addition — commutative and
+  associative, so any merge order yields the identical registry.
 * **Same scorecard.**  :meth:`summary` keeps its key shape; counts, sums,
   means and maxima are exact, and the p50/p99 latency estimates carry at
   most one histogram-bucket width (< 9%) of relative error — well inside
@@ -39,8 +39,7 @@ _COUNTERS = ("errors", "retries", "quarantined", "degraded", "restarts")
 
 #: Latency histogram layout: 100 ns to 1000 s at 8 bins/octave (~270 buckets).
 _LATENCY_LAYOUT = (1e-7, 1e3)
-#: Size/depth histogram layout: 1 to 65536 at 8 bins/octave (130 buckets);
-#: zero depths land in the (exact-count) underflow bucket.
+#: Batch-size histogram layout: 1 to 65536 at 8 bins/octave (130 buckets).
 _SIZE_LAYOUT = (1.0, 65536.0)
 
 
@@ -56,7 +55,6 @@ class ServingReport:
         self._cached = self.metrics.counter("serve.cached")
         for name in _COUNTERS:
             self.metrics.counter(f"serve.resilience.{name}")
-        self.workers: dict[str, dict] = {}
         #: Build dtype of the serving model (stamped by the engine at
         #: construction; ``None`` until a report belongs to an engine).
         self.model_dtype: str | None = None
@@ -121,25 +119,9 @@ class ServingReport:
         """Record one model forward of ``size`` stacked flows."""
         self._batch.observe(size)
 
-    def observe_queue_depth(self, stage: str, depth: int) -> None:
-        """Sample one inter-stage queue's depth (driven by the fabric).
-
-        Sampled at every enqueue, so the recorded (exact) maxima demonstrate
-        the bounded-queue backpressure contract: no stage's queue ever
-        exceeds its configured bound, however slow the consumer.
-        """
-        self.metrics.histogram(
-            f"serve.queue_depth.{stage}", *_SIZE_LAYOUT
-        ).observe(depth)
-
-    def observe_worker(self, worker: str, stats: dict) -> None:
-        """Record one fabric worker's utilization summary."""
-        self.workers[worker] = dict(stats)
-
     def count(self, name: str, n: int = 1) -> None:
         """Bump one resilience counter (``errors``, ``retries``,
-        ``quarantined``, ``degraded``, ``restarts``).  Thread-safe: the
-        supervisor and fabric stages count on a shared report.
+        ``quarantined``, ``degraded``, ``restarts``).  Thread-safe.
         """
         if name not in _COUNTERS:
             raise ValueError(
@@ -149,14 +131,14 @@ class ServingReport:
             self.metrics.counter(f"serve.resilience.{name}").inc(n)
 
     def merge(self, other: "ServingReport") -> None:
-        """Fold another report (one fabric worker's) into this one.
+        """Fold another report (a restart-retired engine's) into this one.
 
         Counter merges are sums and histogram merges are bucket-wise sums
-        (every report shares the fixed layouts above), so folding N worker
-        reports is exact and order-independent.  The dtype/policy stamps
-        are adopted from ``other`` when this report has none; a genuine
-        conflict (workers serving different builds) surfaces as ``"mixed"``
-        rather than silently keeping one side.
+        (every report shares the fixed layouts above), so folding N reports
+        is exact and order-independent.  The dtype/policy stamps are
+        adopted from ``other`` when this report has none; a genuine conflict
+        (engines serving different builds) surfaces as ``"mixed"`` rather
+        than silently keeping one side.
         """
         for field in ("model_dtype", "numeric_policy"):
             theirs = getattr(other, field, None)
@@ -165,7 +147,6 @@ class ServingReport:
                 setattr(self, field, theirs if mine in (None, theirs) else "mixed")
         with self._counter_lock:
             self.metrics.merge(other.metrics)
-        self.workers.update(other.workers)
         if other._first_submit is not None and (
             self._first_submit is None or other._first_submit < self._first_submit
         ):
@@ -200,7 +181,7 @@ class ServingReport:
                 return 0.0
             return self._latency.percentile(q) * 1000.0
 
-        summary = {
+        return {
             "flows": flows,
             "packets": self.packets,
             "wall_s": wall,
@@ -215,20 +196,3 @@ class ServingReport:
             "numeric_policy": self.numeric_policy,
             "resilience": self.counters,
         }
-        prefix = "serve.queue_depth."
-        queues = {
-            name[len(prefix):]: hist
-            for name, hist in self.metrics.select(prefix).items()
-        }
-        if queues:
-            summary["queues"] = {
-                stage: {
-                    "samples": hist.count,
-                    "mean_depth": hist.mean,
-                    "max_depth": int(hist.max),
-                }
-                for stage, hist in sorted(queues.items())
-            }
-        if self.workers:
-            summary["workers"] = {name: dict(stats) for name, stats in self.workers.items()}
-        return summary

@@ -27,13 +27,16 @@ The serving stack's failure model, layered over the unchanged fast path:
   supervisor drains the in-flight records, rebuilds the engine with bounded
   retries + exponential backoff, and replays them — the recovered run is
   bit-identical to a fault-free run because the engine is record-sequence
-  deterministic and batch-invariant.  Exhausted retries condemn the worker:
-  ``fail_fast`` re-raises, ``quarantine`` dead-letters everything it would
-  have served, ``degrade`` serves zero-logit fallbacks.
+  deterministic and (for float64 builds) batch-invariant.  Exhausted
+  retries condemn the worker: ``fail_fast`` re-raises, ``quarantine``
+  dead-letters everything it would have served, ``degrade`` serves
+  zero-logit fallbacks.
 
-* **Watchdog** — per-stage heartbeats; a stage silent longer than the stall
-  timeout raises :class:`StageStallError` through the stop path instead of
-  hanging the consumer forever.
+* **Arming** — :class:`ArmedRun` is how
+  :func:`~repro.serve.engine.serve_stream` applies all of the above: it
+  substitutes a stand-in for each stage (a source whose failed reads
+  arrive as :class:`SourceFailure` markers, an :class:`AssemblyGuard`, a
+  :class:`WorkerSupervisor`) and the driver's one loop runs over them.
 
 * **Checkpoint/restore** — :func:`save_checkpoint`/:func:`load_checkpoint`
   persist an assembler's open-flow state (see
@@ -58,14 +61,13 @@ __all__ = [
     "POLICIES",
     "ChunkIntegrityError",
     "PoisonedLogitsError",
-    "StageStallError",
     "DeadLetter",
     "DeadLetterQueue",
     "LogitGuard",
     "AssemblyGuard",
     "WorkerSupervisor",
-    "Watchdog",
-    "resilient_serve",
+    "SourceFailure",
+    "ArmedRun",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -80,10 +82,6 @@ class ChunkIntegrityError(RuntimeError):
 
 class PoisonedLogitsError(RuntimeError):
     """A model forward produced non-finite logits under ``fail_fast``."""
-
-
-class StageStallError(RuntimeError):
-    """A pipeline stage stopped heartbeating past the stall timeout."""
 
 
 @dataclasses.dataclass
@@ -106,7 +104,6 @@ class DeadLetter:
     generation: int
     packet_count: int
     chunk_index: "int | None" = None
-    worker: "str | None" = None
 
 
 class DeadLetterQueue:
@@ -131,7 +128,7 @@ class DeadLetterQueue:
                 entry.flow_key, entry.generation, "dead_letter",
                 failed_stage=entry.stage, error=entry.error,
                 action=entry.action, packet_count=entry.packet_count,
-                chunk_index=entry.chunk_index, worker=entry.worker,
+                chunk_index=entry.chunk_index,
             )
 
     def __len__(self) -> int:
@@ -170,12 +167,10 @@ class LogitGuard:
     ``fail_fast`` — before the batch emits anything, so the raise is
     replay-safe."""
 
-    def __init__(self, policy: str, dead_letters: DeadLetterQueue, report,
-                 worker: "str | None" = None):
+    def __init__(self, policy: str, dead_letters: DeadLetterQueue, report):
         self.policy = policy
         self.dead_letters = dead_letters
         self.report = report
-        self.worker = worker
 
     def __call__(self, record: FlowRecord, row: np.ndarray) -> str:
         if self.policy == "fail_fast":
@@ -192,13 +187,40 @@ class LogitGuard:
             flow_key=record.key,
             generation=record.generation,
             packet_count=record.packet_count,
-            worker=self.worker,
         ))
         if self.policy == "quarantine":
             self.report.count("quarantined")
             return "drop"
         self.report.count("degraded")
         return "degrade"
+
+
+class SourceFailure:
+    """A failed source read, delivered in-band to :meth:`AssemblyGuard.push`.
+
+    Under a non-``fail_fast`` policy the armed source yields one of these in
+    place of the chunk it could not read, so the serving loop stays one
+    loop and the guard numbers every read, failed or not.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: BaseException):
+        self.error = error
+
+
+def _failures_as_markers(source):
+    """Yield ``source``'s chunks, and a :class:`SourceFailure` per failed read."""
+    stream = iter(source)
+    while True:
+        try:
+            chunk = next(stream)
+        except StopIteration:
+            return
+        except Exception as error:
+            yield SourceFailure(error)
+            continue
+        yield chunk
 
 
 class AssemblyGuard:
@@ -223,14 +245,19 @@ class AssemblyGuard:
         self.fault_plan = fault_plan
         #: key -> its DeadLetter entry (packet counts keep accumulating).
         self.poisoned: dict[object, DeadLetter] = {}
+        #: Index of the latest source read, failed or not (dead-letter
+        #: ``chunk_index`` provenance).
         self._chunk_index = -1
 
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
     def push(self, chunk) -> list[FlowRecord]:
+        """Assemble one source read: a chunk, or a :class:`SourceFailure`."""
         self._chunk_index += 1
         index = self._chunk_index
+        if isinstance(chunk, SourceFailure):
+            return self.source_failure(chunk.error, index)
         if len(chunk) == 0:
             return []
         clock = float(np.nanmax(chunk.timestamps))
@@ -345,13 +372,13 @@ class WorkerSupervisor:
     """Restart a crashed engine with bounded retries; replay its in-flight
     records.
 
-    ``rebuild(old_engine) -> new_engine`` supplies the restart (the sync
-    path clones in place; the fabric re-derives a worker engine with its
-    shard's cache configuration).  Recovery is bit-identical to a fault-free
-    run: the engine's exception-safe bucket run means a crash loses nothing
-    and emits nothing, so drain + replay serves every record exactly once,
-    and record-sequence determinism + batch invariance make the replayed
-    logits byte-equal.
+    ``rebuild(old_engine) -> new_engine`` supplies the restart
+    (:class:`ArmedRun` clones the crashed engine).  Recovery is
+    bit-identical to a fault-free run: the engine's exception-safe bucket
+    run means a crash loses nothing and emits nothing, so drain + replay
+    serves every record exactly once, and record-sequence determinism plus
+    (for float64 builds) batch invariance make the replayed logits
+    byte-equal.
 
     ``PoisonedLogitsError`` (the ``fail_fast`` output guard) passes through
     untouched — it is a policy verdict, not a worker crash.
@@ -360,8 +387,7 @@ class WorkerSupervisor:
     def __init__(self, engine, rebuild, policy: str,
                  dead_letters: DeadLetterQueue, report, *,
                  max_restarts: int = 2, backoff: float = 0.05,
-                 backoff_factor: float = 2.0, worker: "str | None" = None,
-                 sleep=time.sleep):
+                 backoff_factor: float = 2.0, sleep=time.sleep):
         self.engine = engine
         self._rebuild = rebuild
         self.policy = policy
@@ -370,7 +396,6 @@ class WorkerSupervisor:
         self.max_restarts = max_restarts
         self.backoff = backoff
         self.backoff_factor = backoff_factor
-        self.worker = worker
         self.sleep = sleep
         self.restarts = 0
         self.condemned = False
@@ -428,11 +453,10 @@ class WorkerSupervisor:
             self.retired_reports.append(old.report)
             tracer = getattr(self.engine, "tracer", None)
             if tracer is not None:
-                # Restarts are per-worker, not per-flow; the worker label
-                # stands in as the trace key so provenance still lands in
-                # the merged trace.
+                # Restarts are per-engine, not per-flow; "worker" stands in
+                # as the trace key so provenance still lands in the trace.
                 tracer.annotate(
-                    self.worker or "worker", self.restarts, "worker_restart",
+                    "worker", self.restarts, "worker_restart",
                     error=repr(error), replayed=len(pending),
                 )
             try:
@@ -445,7 +469,7 @@ class WorkerSupervisor:
                     if tracer is not None:
                         tracer.annotate(
                             record.key, record.generation, "retry",
-                            restart=self.restarts, worker=self.worker,
+                            restart=self.restarts,
                         )
                     completed.extend(self.engine.submit(record))
                 if flushing:
@@ -473,7 +497,6 @@ class WorkerSupervisor:
                 flow_key=record.key,
                 generation=record.generation,
                 packet_count=record.packet_count,
-                worker=self.worker,
             ))
             if self.policy == "quarantine":
                 self.report.count("quarantined")
@@ -492,132 +515,73 @@ class WorkerSupervisor:
         return out
 
 
-class Watchdog:
-    """Detect stalled stages via heartbeats on a monitor thread.
+def _restart(old):
+    """:class:`ArmedRun`'s rebuild: a fresh clone keeping the logit guard."""
+    fresh = old.clone()
+    fresh.output_guard = old.output_guard
+    return fresh
 
-    Stages call :meth:`beat` inside their loops (including while waiting on
-    queues, so backpressure is never mistaken for a stall).  A stage silent
-    longer than ``stall_timeout`` fires ``on_stall(StageStallError)`` once
-    and the monitor exits.
+
+class ArmedRun:
+    """The resilience layer armed for one
+    :func:`~repro.serve.engine.serve_stream` run.
+
+    Substitutes a stand-in for each stage — :attr:`source` (under a
+    non-``fail_fast`` policy a failed read becomes a :class:`SourceFailure`
+    marker instead of an exception), :attr:`assembler` (an
+    :class:`AssemblyGuard`) and :attr:`engine` (a :class:`WorkerSupervisor`
+    over the caller's engine) — so the driver runs its one loop over them
+    unchanged.  Dropped flows land in :attr:`dead_letters` (a fresh queue
+    when ``None`` is passed).
+
+    Arming installs the fault plan's classifier wrapper and a
+    :class:`LogitGuard` on the caller's engine; :meth:`restore` puts both
+    back, so a later run on the same engine never inherits this run's
+    dead-letter queue or injected faults.
     """
 
-    def __init__(self, stall_timeout: float, on_stall, poll: "float | None" = None):
-        if stall_timeout <= 0:
-            raise ValueError("stall_timeout must be positive")
-        self.stall_timeout = float(stall_timeout)
-        self.on_stall = on_stall
-        self.poll = poll if poll is not None else min(stall_timeout / 4, 0.05)
-        self.stalled_stage: "str | None" = None
-        self._beats: dict[str, float] = {}
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: "threading.Thread | None" = None
-
-    def beat(self, stage: str) -> None:
-        with self._lock:
-            self._beats[stage] = time.monotonic()
-
-    def remove(self, stage: str) -> None:
-        """A stage finished cleanly; stop watching it."""
-        with self._lock:
-            self._beats.pop(stage, None)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._monitor, name="serve-watchdog", daemon=True
+    def __init__(self, source, assembler, engine, *, policy: str, fault_plan,
+                 dead_letters, max_restarts: int, restart_backoff: float):
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r} (choose from {POLICIES})"
+            )
+        self.dead_letters = (
+            dead_letters if dead_letters is not None
+            else DeadLetterQueue(tracer=engine.tracer)
         )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def _monitor(self) -> None:
-        while not self._stop.wait(self.poll):
-            now = time.monotonic()
-            with self._lock:
-                for stage, last in self._beats.items():
-                    if now - last > self.stall_timeout:
-                        self.stalled_stage = stage
-                        break
-            if self.stalled_stage is not None:
-                self.on_stall(StageStallError(
-                    f"stage {self.stalled_stage!r} has not heartbeat for "
-                    f"{self.stall_timeout}s"
-                ))
-                return
-
-
-def resilient_serve(source, assembler, engine, *, policy: str = "fail_fast",
-                    fault_plan=None, dead_letters=None, max_restarts: int = 0,
-                    restart_backoff: float = 0.05):
-    """The synchronous serving loop with the resilience layer armed.
-
-    ``serve_stream`` routes here whenever any resilience knob is non-default
-    (policy, fault plan, dead-letter queue, supervisor); with every knob at
-    its default the legacy loop runs instead, unchanged.  Yields
-    :class:`FlowPrediction` objects exactly like the legacy loop; dropped
-    flows land in ``dead_letters`` (a fresh queue when ``None`` — pass one
-    in to inspect it afterwards).
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
-    dlq = (
-        dead_letters if dead_letters is not None
-        else DeadLetterQueue(tracer=engine.tracer)
-    )
-    report = engine.report
-    # The run arms the caller's engine with its fault plan and logit guard;
-    # both are restored on every exit (completion, error, or the consumer
-    # closing this generator early), so a later run on the same engine never
-    # inherits this run's dead-letter queue or injected faults.
-    classifier, output_guard = engine.classifier, engine.output_guard
-    engine.classifier = wrap_classifier(classifier, fault_plan)
-    engine.output_guard = LogitGuard(policy, dlq, report)
-    try:
-        def rebuild(old):
-            fresh = old.clone()
-            fresh.output_guard = old.output_guard
-            return fresh
-
-        supervisor = WorkerSupervisor(
-            engine, rebuild, policy, dlq, report,
+        report = engine.report
+        source = wrap_source(source, fault_plan)
+        self.source = (
+            source if policy == "fail_fast" else _failures_as_markers(source)
+        )
+        self.assembler = AssemblyGuard(
+            assembler, policy, self.dead_letters, report, fault_plan=fault_plan
+        )
+        self.engine = WorkerSupervisor(
+            engine, _restart, policy, self.dead_letters, report,
             max_restarts=max_restarts, backoff=restart_backoff,
         )
-        guard = AssemblyGuard(
-            assembler, policy, dlq, report, fault_plan=fault_plan
-        )
-        stream = iter(wrap_source(source, fault_plan))
-        chunk_index = -1
-        while True:
-            chunk_index += 1
-            try:
-                chunk = next(stream)
-            except StopIteration:
-                break
-            except Exception as error:
-                if policy == "fail_fast":
-                    raise
-                for record in guard.source_failure(error, chunk_index):
-                    yield from supervisor.submit(record)
-                continue
-            for record in guard.push(chunk):
-                yield from supervisor.submit(record)
-        for record in guard.flush():
-            yield from supervisor.submit(record)
-        yield from supervisor.flush()
-        # Fold restart-retired engine reports (and the final engine's) back
-        # into the original engine's report, the accumulator the caller sees.
-        final = supervisor.engine
-        if final is not engine:
-            for retired in supervisor.retired_reports:
-                if retired is not engine.report:
-                    engine.report.merge(retired)
-            engine.report.merge(final.report)
-    finally:
-        engine.classifier = classifier
-        engine.output_guard = output_guard
+        # Mutate the caller's engine last: restore() undoes exactly this.
+        self._caller = engine
+        self._saved = (engine.classifier, engine.output_guard)
+        engine.classifier = wrap_classifier(engine.classifier, fault_plan)
+        engine.output_guard = LogitGuard(policy, self.dead_letters, report)
+
+    def fold_reports(self) -> None:
+        """Fold restart-retired engines' reports (and the final engine's)
+        into the caller's engine report, the accumulator the caller sees."""
+        caller, final = self._caller, self.engine.engine
+        if final is caller:
+            return
+        for retired in self.engine.retired_reports:
+            if retired is not caller.report:
+                caller.report.merge(retired)
+        caller.report.merge(final.report)
+
+    def restore(self) -> None:
+        """Give the caller's engine back its classifier and output guard."""
+        self._caller.classifier, self._caller.output_guard = self._saved
 
 
 # ----------------------------------------------------------------------

@@ -261,9 +261,9 @@ class TestGraphMechanics:
         assert not out.requires_grad
 
     def test_no_grad_is_thread_local(self):
-        # Grad mode must be per-thread: concurrent no_grad() windows (the
-        # serving fabric's workers) interleaving save/restores of a single
-        # process-global flag can strand the process with grad disabled.
+        # Grad mode must be per-thread: concurrent no_grad() windows
+        # interleaving save/restores of a single process-global flag can
+        # strand the process with grad disabled.
         from repro.nn.autograd import is_grad_enabled
 
         inside = threading.Barrier(3, timeout=10.0)

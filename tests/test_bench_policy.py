@@ -93,9 +93,3 @@ class TestRepoTrailingDatabase:
         assert e14.SERVING_SPEEDUP_FLOOR == gate_floor(
             "serving_micro_batch", 3.0, trailing=database
         )
-        if e14.CPU_CORES >= e14.SERVING_PARALLEL_WORKERS:
-            assert e14.SERVING_PARALLEL_FLOOR >= 2.5
-        else:
-            assert e14.SERVING_PARALLEL_FLOOR == gate_floor(
-                "serving_parallel", 0.5, trailing=database
-            )

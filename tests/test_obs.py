@@ -189,8 +189,8 @@ class TestMetricsRegistry:
         return r
 
     def test_merge_commutes_across_three_workers(self):
-        # Satellite: commutativity of counter/histogram merges across 3+
-        # fabric workers — any fold order gives the identical registry.
+        # Commutativity of counter/histogram merges across 3+ registries —
+        # any fold order gives the identical registry.
         # Histogram sums are floats, so the running total is only equal up
         # to addition-reordering; every discrete quantity is exact.
         def fold(order):
@@ -365,8 +365,7 @@ def _counting_clock():
 class TestTraceRecorder:
     def test_sync_trace_is_deterministic_under_injected_clock(self):
         # Same stream, same counting clock -> identical trace rows, run to
-        # run.  (Only the sync path is clock-deterministic; fabric thread
-        # interleaving is documented as non-deterministic.)
+        # run.
         first = TraceRecorder(clock=_counting_clock())
         second = TraceRecorder(clock=_counting_clock())
         _tiny_serving(first)
@@ -418,13 +417,13 @@ class TestTraceRecorder:
         queue.append(DeadLetter(
             stage="assembly", error="ChunkIntegrityError('bad ts')",
             action="dropped", flow_key="conn-9", generation=1,
-            packet_count=4, chunk_index=2, worker="worker[0]",
+            packet_count=4, chunk_index=2,
         ))
         (span,) = tracer.spans_for("conn-9")
         assert span.stage == "dead_letter" and span.kind == "event"
         assert span.attrs["failed_stage"] == "assembly"
         assert span.attrs["action"] == "dropped"
-        assert span.attrs["worker"] == "worker[0]"
+        assert span.attrs["chunk_index"] == 2
 
     def test_annotation_attrs_survive(self):
         tracer = TraceRecorder(clock=_counting_clock())

@@ -3,12 +3,12 @@
 The observability hard constraint (``docs/OBSERVABILITY.md``): attaching a
 :class:`~repro.obs.trace.TraceRecorder` to the assembler and engine must not
 perturb a single served bit.  This suite runs every E14 traffic scenario
-through the sync path and the fabric at workers {1, 2, 4}, once without a
-tracer and once with, and asserts the served flow-record multiset *and*
-logits are bit-identical (the same ``prediction_key`` comparison the fabric
-bit-identity suite uses).  It also sanity-checks the traces themselves: every
-served flow has its full span lifecycle, and fabric spans carry worker
-provenance.  CI runs this as the dedicated observability step.
+through the serving loop, once without a tracer and once with (unsharded,
+and through sharded assemblers whose shards share the tracer), and asserts
+the served flow-record multiset *and* logits are bit-identical (the same
+``prediction_key`` comparison the sharded bit-identity suite uses).  It also
+sanity-checks the traces themselves: every served flow has its full span
+lifecycle.  CI runs this as the dedicated observability step.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import TraceRecorder
-from repro.serve import ColumnsSource, serve_stream
+from repro.serve import ColumnsSource, ShardedAssembler, serve_stream
 
-from test_serve_fabric import (
+from test_serve_sharded import (
     SCENARIOS,
     make_assembler,
     make_engine,
@@ -30,7 +30,7 @@ from test_serve_fabric import (
 CHUNK_ROWS = 13
 
 # Tracing-off references, computed once per scenario — against THIS module's
-# fixture instances.  Deliberately not test_serve_fabric's shared sync cache:
+# fixture instances.  Deliberately not test_serve_sharded's shared sync cache:
 # flow keys carry process-global connection ids, so each module's regenerated
 # captures differ by key and the caches must not cross-pollinate.
 _REFERENCE: dict = {}
@@ -45,14 +45,19 @@ def reference(scn):
     return _REFERENCE[scn["name"]]
 
 
-def traced_serve(scn, workers=None):
-    """One full serve of the scenario with tracing on; returns (keys, tracer)."""
+def traced_serve(scn, shards=None):
+    """One full serve of the scenario with tracing on; returns (keys, tracer).
+
+    ``shards=k`` serves through a k-way sharded assembler whose shards share
+    the tracer.
+    """
     tracer = TraceRecorder()
     assembler = make_assembler(scn, idle_timeout=0.0, tracer=tracer)
+    if shards is not None:
+        assembler = ShardedAssembler.from_template(assembler, shards)
     engine = make_engine(scn, tracer=tracer)
     predictions = list(serve_stream(
-        ColumnsSource(scn["columns"], chunk_rows=CHUNK_ROWS),
-        assembler, engine, workers=workers,
+        ColumnsSource(scn["columns"], chunk_rows=CHUNK_ROWS), assembler, engine,
     ))
     return sorted(prediction_key(p) for p in predictions), tracer, predictions
 
@@ -65,10 +70,11 @@ class TestTracingIsObservationOnly:
         traced, _, _ = traced_serve(scenario)
         assert traced == expected
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fabric_bit_identical(self, scenario, workers):
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_sharded_bit_identical(self, scenario, shards):
+        # Traced sharded assembly vs the untraced unsharded reference.
         expected = reference(scenario)
-        traced, _, _ = traced_serve(scenario, workers=workers)
+        traced, _, _ = traced_serve(scenario, shards=shards)
         assert traced == expected
 
 
@@ -98,17 +104,20 @@ class TestTraceCoversTheServedFlows:
                 rank[s] for s in stages if s in rank
             )
 
-    @pytest.mark.parametrize("workers", [2])
-    def test_fabric_spans_carry_worker_provenance(self, scenario, workers):
-        _, tracer, predictions = traced_serve(scenario, workers=workers)
+    @pytest.mark.parametrize("shards", [2])
+    def test_sharded_spans_cover_every_flow(self, scenario, shards):
+        # Shards share one recorder: each served flow is emitted exactly
+        # once and keeps its assembly-side spans, whichever shard held it.
+        _, tracer, predictions = traced_serve(scenario, shards=shards)
         emitted = [s for s in tracer.spans if s.stage == "emitted"]
         assert len(emitted) == len(predictions)
-        workers_seen = {s.attrs["worker"] for s in emitted}
-        assert workers_seen <= {f"worker[{w}]" for w in range(workers)}
-        # Every served flow still has its assembly-side spans.
+        assert sorted((s.flow, s.generation) for s in emitted) == sorted(
+            (str(p.record.key), p.record.generation) for p in predictions
+        )
         for p in predictions:
             stages = {
-                s.stage for s in tracer.spans_for(p.record.key, p.record.generation)
+                s.stage
+                for s in tracer.spans_for(p.record.key, p.record.generation)
             }
             assert {"first_packet", "flow_closed", "encode", "emitted"} <= stages
 

@@ -17,10 +17,7 @@ checkpoint must emit the exact records of the uninterrupted run.
 
 from __future__ import annotations
 
-import gc
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -38,10 +35,8 @@ from repro.serve import (
     InferenceEngine,
     PoisonedLogitsError,
     PredictionCache,
-    ServingFabric,
     ShardedAssembler,
     SourceFaultError,
-    StageStallError,
     StreamingFlowAssembler,
     chunk_columns,
     load_checkpoint,
@@ -126,15 +121,18 @@ def make_engine(scn, classifier=None, **kwargs):
     return InferenceEngine(classifier or scn["classifier"], **kwargs)
 
 
-def run_resilient(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0, workers=None,
+def run_resilient(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0, shards=None,
                   engine=None, **options):
-    """Serve the scenario's stream; return (predictions, engine)."""
+    """Serve the scenario's stream; return (predictions, engine).
+
+    ``shards=k`` swaps in a k-way :class:`ShardedAssembler`.
+    """
     assembler = make_assembler(scn, idle_timeout=idle_timeout)
+    if shards is not None:
+        assembler = ShardedAssembler.from_template(assembler, shards)
     engine = engine or make_engine(scn)
     source = ColumnsSource(scn["columns"], chunk_rows=chunk_rows)
-    predictions = list(
-        serve_stream(source, assembler, engine, workers=workers, **options)
-    )
+    predictions = list(serve_stream(source, assembler, engine, **options))
     return predictions, engine
 
 
@@ -157,18 +155,17 @@ def record_key(r):
     )
 
 
-# Fault-free sync references, memoized per (scenario, chunk, idle).
-_SYNC_PREDS: dict = {}
-
-
 def sync_predictions(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0):
-    key = (scn["name"], chunk_rows, idle_timeout)
-    if key not in _SYNC_PREDS:
-        predictions, _ = run_resilient(
+    """Fault-free sync reference, memoized per (chunk, idle) on the scenario
+    instance itself: flow keys carry process-global connection ids, so a
+    regenerated scenario must never reuse another instance's reference."""
+    memo = scn.setdefault("sync_predictions", {})
+    key = (chunk_rows, idle_timeout)
+    if key not in memo:
+        memo[key], _ = run_resilient(
             scn, chunk_rows=chunk_rows, idle_timeout=idle_timeout
         )
-        _SYNC_PREDS[key] = predictions
-    return _SYNC_PREDS[key]
+    return memo[key]
 
 
 def check_conservation(scn, predictions, dead_letters, chunk_rows=CHUNK_ROWS,
@@ -309,22 +306,41 @@ class TestChaosMatrix:
         assert plan.fired
         check_conservation(scenario, predictions, dlq, idle_timeout=0.2)
 
-    @pytest.mark.parametrize("workers", [2])
+    @pytest.mark.parametrize("shards", [2])
     @pytest.mark.parametrize(
         "case", ["source-raise", "source-corrupt", "assembly-raise", "logits-nan"]
     )
-    def test_fabric_quarantine_conserves(self, scenario, case, workers):
-        # The same invariant through the threaded fabric: guard state lives
-        # on the assembly stage, logit guards on every worker engine.
+    def test_sharded_quarantine_conserves(self, scenario, case, shards):
+        # The same invariant over a sharded assembler: the guard poisons and
+        # discards flow keys on whichever shard holds them.
         make_plan, _ = FAULT_CASES[case]
         plan = make_plan()
         dlq = DeadLetterQueue()
         predictions, _ = run_resilient(
-            scenario, workers=workers, policy="quarantine",
+            scenario, shards=shards, policy="quarantine",
             fault_plan=plan, dead_letters=dlq,
         )
         assert plan.fired
         check_conservation(scenario, predictions, dlq)
+
+    @pytest.mark.parametrize("scenario", ["dns"], indirect=True)
+    def test_chunk_index_counts_failed_reads(self, scenario):
+        # Read 2 fails at the source, so the sixth assembled chunk (assembly
+        # ordinal 5) is read 6: provenance must number every read, failed
+        # or not.
+        plan = FaultPlan((
+            FaultSpec("source", 2, "raise"), FaultSpec("assembly", 5, "raise"),
+        ))
+        dlq = DeadLetterQueue()
+        predictions, _ = run_resilient(
+            scenario, chunk_rows=4, policy="quarantine",
+            fault_plan=plan, dead_letters=dlq,
+        )
+        indices = {}
+        for entry in dlq:
+            indices.setdefault(entry.stage, set()).add(entry.chunk_index)
+        assert indices == {"source": {2}, "assembly": {6}}
+        check_conservation(scenario, predictions, dlq, chunk_rows=4)
 
 
 class TestRandomChaosSweep:
@@ -340,6 +356,18 @@ class TestRandomChaosSweep:
         predictions, _ = run_resilient(
             scenario, policy=policy, fault_plan=plan, dead_letters=dlq,
             max_restarts=3, restart_backoff=0.005,
+        )
+        check_conservation(scenario, predictions, dlq)
+
+    @pytest.mark.parametrize("policy", ["quarantine", "degrade"])
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_random_plan_conserves_sharded(self, scenario, policy, draw):
+        # The same seeded plans over a 2-shard assembler under the one loop.
+        plan = FaultPlan.random(self.SEED * 100 + draw, faults=3, max_index=8)
+        dlq = DeadLetterQueue()
+        predictions, _ = run_resilient(
+            scenario, shards=2, policy=policy, fault_plan=plan,
+            dead_letters=dlq, max_restarts=3, restart_backoff=0.005,
         )
         check_conservation(scenario, predictions, dlq)
 
@@ -370,25 +398,22 @@ class TestWorkerSupervision:
         assert counters["restarts"] >= 1
         assert counters["retries"] >= 1
 
-    def test_fabric_restart_recovery_is_bit_identical(self, scenario):
+    def test_sharded_restart_recovery_is_bit_identical(self, scenario):
+        # Drain + replay behind a 2-shard assembler serves the unsharded
+        # fault-free multiset.
         plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
         dlq = DeadLetterQueue()
-        fabric = ServingFabric(
-            ColumnsSource(scenario["columns"], chunk_rows=CHUNK_ROWS),
-            make_assembler(scenario),
-            make_engine(scenario),
-            workers=2, policy="quarantine", fault_plan=plan,
+        predictions, engine = run_resilient(
+            scenario, shards=2, policy="quarantine", fault_plan=plan,
             dead_letters=dlq, max_restarts=2, restart_backoff=0.005,
         )
-        predictions = list(fabric)
         reference = sorted(
             prediction_key(p) for p in sync_predictions(scenario)
         )
         assert sorted(prediction_key(p) for p in predictions) == reference
         assert plan.fired
         assert len(dlq) == 0
-        counters = fabric.summary()["resilience"]
-        assert counters["restarts"] >= 1
+        assert engine.report.summary()["resilience"]["restarts"] >= 1
 
     def test_exhausted_restarts_condemn_the_worker(self, scenario):
         # Two crashes against a budget of one: the worker is condemned and
@@ -429,55 +454,6 @@ class TestWorkerSupervision:
         supervisor.flush()
         assert supervisor.condemned
         assert sleeps == [0.05, 0.1, 0.2]
-
-
-# ----------------------------------------------------------------------
-# Watchdog: a stalled stage fails the pipeline instead of hanging it
-# ----------------------------------------------------------------------
-class _StallingSource:
-    """Yields one chunk, then goes silent until released."""
-
-    def __init__(self, columns, release: threading.Event):
-        self.columns = columns
-        self.release = release
-
-    def __iter__(self):
-        yield self.columns[np.arange(min(20, len(self.columns)))]
-        self.release.wait(10.0)
-
-
-class TestWatchdog:
-    def test_stalled_source_raises_not_hangs(self, scenario):
-        release = threading.Event()
-        fabric = ServingFabric(
-            _StallingSource(scenario["columns"], release),
-            make_assembler(scenario, idle_timeout=0.2),
-            make_engine(scenario, batch_size=1),
-            workers=2, stall_timeout=0.3,
-        )
-        # Unblock the stalled thread shortly after the watchdog verdict so
-        # close() can join it without eating the full join timeout.
-        timer = threading.Timer(1.0, release.set)
-        timer.start()
-        started = time.monotonic()
-        try:
-            with pytest.raises(StageStallError):
-                list(fabric)
-        finally:
-            release.set()
-            timer.cancel()
-        assert time.monotonic() - started < 4.0
-
-    def test_backpressure_is_not_a_stall(self, scenario):
-        # A healthy pipeline far slower than the stall timeout must not trip
-        # the watchdog: stages heartbeat while waiting on bounded queues.
-        predictions, _ = run_resilient(
-            scenario, workers=2, stall_timeout=0.5,
-        )
-        reference = sorted(
-            prediction_key(p) for p in sync_predictions(scenario)
-        )
-        assert sorted(prediction_key(p) for p in predictions) == reference
 
 
 # ----------------------------------------------------------------------
@@ -574,53 +550,6 @@ class TestCheckpointRestore:
         sharded = ShardedAssembler.from_template(make_assembler(scenario), 2)
         with pytest.raises(ValueError, match="checkpoint"):
             sharded.restore(state)
-
-
-# ----------------------------------------------------------------------
-# Fabric lifecycle: abandoning the iterator leaks no threads
-# ----------------------------------------------------------------------
-def _midstream_fabric(scn):
-    """A fabric whose predictions start flowing long before end of stream."""
-    return ServingFabric(
-        ColumnsSource(scn["columns"], chunk_rows=1),
-        make_assembler(scn, idle_timeout=0.2),
-        make_engine(scn, batch_size=1),
-        workers=2, chunk_queue=2, record_queue=4, output_queue=4,
-    )
-
-
-class TestFabricLifecycle:
-    def test_close_stops_threads_midstream(self, scenario):
-        fabric = _midstream_fabric(scenario)
-        it = iter(fabric)
-        next(it)  # the pipeline is live mid-stream
-        fabric.close()
-        assert all(not t.is_alive() for t in fabric._threads)
-        fabric.close()  # idempotent
-
-    def test_generator_close_joins_threads(self, scenario):
-        fabric = _midstream_fabric(scenario)
-        it = iter(fabric)
-        next(it)
-        it.close()  # GeneratorExit runs the finally -> close()
-        assert all(not t.is_alive() for t in fabric._threads)
-
-    def test_context_manager_closes(self, scenario):
-        with _midstream_fabric(scenario) as fabric:
-            next(iter(fabric))
-        assert all(not t.is_alive() for t in fabric._threads)
-
-    def test_abandoned_iterator_is_collected(self, scenario):
-        fabric = _midstream_fabric(scenario)
-        it = iter(fabric)
-        next(it)
-        threads = list(fabric._threads)
-        del it
-        del fabric
-        gc.collect()  # generator finalization runs close()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert all(not t.is_alive() for t in threads)
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,25 @@
-"""The parallel serving fabric (`repro.serve.fabric`) — differential validation.
+"""Sharded flow assembly under the one serving loop — differential validation.
 
-The fabric's contract is *bit-identity as a multiset*: for any chunk size,
-shard count and worker count, ``serve_stream(..., workers=k)`` must serve
-exactly the flows the single-threaded path serves — same encoded contexts,
+A :class:`~repro.serve.assembler.ShardedAssembler` hash-partitions open-flow
+state by flow key.  Its contract is *bit-identity as a multiset*: for any
+chunk size and shard count, ``serve_stream`` over a sharded assembler must
+serve exactly the flows the unsharded path serves — same encoded contexts,
 labels, generations, timestamps and close reasons, and logits identical to
 the last bit — only the arrival order may differ.  The harness checks that
-differentially, per scenario: every fabric run is compared against the
-synchronous path on the same stream *and* against the offline reference
+differentially, per scenario: every sharded run is compared against the
+unsharded path on the same stream *and* against the offline reference
 (:meth:`~repro.context.builders.FlowContextBuilder.encode_columns` plus the
-batched solver forward), over a sweep of chunk sizes {1, k, n} × workers
-{1, 2, 4} × traffic scenarios (DNS, HTTP, TLS, attack, enterprise mix),
-plus a seeded out-of-order/burst arrival case.
+batched solver forward), over a sweep of chunk sizes {1, k, n} × shards
+{1, 2, 4} × idle timeouts × traffic scenarios (DNS, HTTP, TLS, attack,
+enterprise mix), plus a seeded out-of-order/burst arrival case.
 
-The backpressure half gates the pipeline mechanics: bounded queues never
-exceed their bounds under a slow model, shutdown drains cleanly, and a
-failing stage propagates its exception to the caller instead of hanging.
+The interface half pins what the driver needs: with resilience off,
+``serve_stream`` touches only ``push``/``flush`` on the assembler and
+``submit``/``flush`` on the engine, and with it on, the caller's engine gets
+its classifier and output guard back however the run ends.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -30,9 +29,10 @@ from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
 from repro.net import PacketColumns, build_packet
 from repro.serve import (
     ColumnsSource,
+    FaultPlan,
+    FaultSpec,
     InferenceEngine,
     PredictionCache,
-    ServingFabric,
     ShardedAssembler,
     StreamingFlowAssembler,
     burst_chunks,
@@ -125,10 +125,13 @@ def make_engine(scn, classifier=None, **kwargs):
     return InferenceEngine(classifier or scn["classifier"], **kwargs)
 
 
-def run_serve(scn, source, workers=None, idle_timeout=0.0, engine=None, **options):
+def run_serve(scn, source, shards=None, idle_timeout=0.0, engine=None, **options):
+    """Serve ``source``; ``shards=k`` swaps in a k-way sharded assembler."""
     assembler = make_assembler(scn, idle_timeout=idle_timeout)
+    if shards is not None:
+        assembler = ShardedAssembler.from_template(assembler, shards)
     engine = engine or make_engine(scn)
-    return list(serve_stream(source, assembler, engine, workers=workers, **options))
+    return list(serve_stream(source, assembler, engine, **options))
 
 
 def prediction_key(p):
@@ -150,8 +153,8 @@ def record_key(r):
     )
 
 
-# Sync references are deterministic per (scenario, chunk, idle) — computed
-# once and shared across the worker-count sweep.
+# Unsharded references are deterministic per (scenario, chunk, idle) —
+# computed once and shared across the shard-count sweep.
 _SYNC_CACHE: dict = {}
 
 
@@ -167,31 +170,27 @@ def sync_reference(scn, chunk_rows, idle_timeout=0.0):
 
 
 class TestDifferentialScenarioSweep:
-    """Fabric == sync path == offline reference, per scenario."""
+    """Sharded == unsharded == offline reference, per scenario."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("idle_timeout", [0.0, 0.2])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("chunk_rows", [1, 13, None])
-    def test_fabric_matches_sync_bitwise(self, scenario, chunk_rows, workers):
+    def test_sharded_matches_unsharded_bitwise(
+        self, scenario, chunk_rows, shards, idle_timeout
+    ):
+        # With an idle timeout, eviction happens mid-stream, across the
+        # per-chunk clock broadcast.
         columns = scenario["columns"]
         chunk_rows = chunk_rows or len(columns)
-        reference = sync_reference(scenario, chunk_rows)
+        reference = sync_reference(scenario, chunk_rows, idle_timeout)
         predictions = run_serve(
-            scenario, ColumnsSource(columns, chunk_rows=chunk_rows), workers=workers
+            scenario, ColumnsSource(columns, chunk_rows=chunk_rows),
+            shards=shards, idle_timeout=idle_timeout,
         )
         assert sorted(prediction_key(p) for p in predictions) == reference
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fabric_matches_sync_under_timeouts(self, scenario, workers):
-        # Timeout eviction happens mid-stream, across the clock broadcast.
-        reference = sync_reference(scenario, 13, idle_timeout=0.2)
-        predictions = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            workers=workers, idle_timeout=0.2,
-        )
-        assert sorted(prediction_key(p) for p in predictions) == reference
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_fabric_matches_offline_reference(self, scenario, workers):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_matches_offline_reference(self, scenario, shards):
         # Without timeouts every flow closes at flush, so the served multiset
         # must be exactly the offline encode_columns rows — and each row's
         # logits must match the offline batched solver forward.
@@ -208,7 +207,7 @@ class TestDifferentialScenarioSweep:
             )
         predictions = run_serve(
             scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            workers=workers,
+            shards=shards,
         )
         served = sorted(
             (p.record.token_ids.tobytes(), p.record.attention_mask.tobytes(),
@@ -225,16 +224,17 @@ class TestDifferentialScenarioSweep:
                 p.logits, by_content[content], rtol=0, atol=1e-10
             )
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_out_of_order_burst_arrival(self, scenario, workers):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_out_of_order_burst_arrival(self, scenario, shards):
         # Seeded multi-queue-tap shape: flows interleaved out of global
         # capture order (per-flow order kept), delivered in variable-size
-        # bursts.  The fabric must still match both the sync path on the
-        # same arrival and the offline reference for the arrived stream.
+        # bursts.  The sharded path must still match both the unsharded path
+        # on the same arrival and the offline reference for the arrived
+        # stream.
         shuffled = interleave_columns(scenario["columns"], seed=7)
         bursts = list(burst_chunks(shuffled, 17, seed=3))
         reference = run_serve(scenario, bursts)
-        predictions = run_serve(scenario, bursts, workers=workers)
+        predictions = run_serve(scenario, bursts, shards=shards)
         assert (
             sorted(prediction_key(p) for p in predictions)
             == sorted(prediction_key(p) for p in reference)
@@ -249,24 +249,14 @@ class TestDifferentialScenarioSweep:
             == sorted((ids[row].tobytes(), labels[row]) for row in range(len(ids)))
         )
 
-    @pytest.mark.parametrize("options", [
-        {"replicate_model": False},
-        {"shards": 3},
-        {"cacheless": True},
-    ])
-    def test_fabric_modes_match_sync(self, scenario, options):
-        # Shared-classifier-behind-a-lock, shards != workers, and no-cache
-        # configurations all keep the multiset contract.
-        options = dict(options)
-        cacheless = options.pop("cacheless", False)
-        engine = make_engine(scenario, cache=None) if cacheless else None
+    def test_cacheless_engine_matches_unsharded(self, scenario):
         sync = run_serve(
             scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            engine=make_engine(scenario, cache=None) if cacheless else None,
+            engine=make_engine(scenario, cache=None),
         )
         predictions = run_serve(
             scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            workers=2, engine=engine, **options,
+            shards=3, engine=make_engine(scenario, cache=None),
         )
         assert (
             sorted(prediction_key(p) for p in predictions)
@@ -302,20 +292,9 @@ class TestFloat32ServingParity:
                 f"{scenario['name']} logits for flow {ours.record.key}",
             )
 
-    def test_fabric_workers_serve_the_f32_build(self, scenario):
-        engine = make_engine(scenario, serve_dtype="float32")
-        predictions = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            workers=2, engine=engine,
-        )
-        assert all(p.logits.dtype == np.float32 for p in predictions)
-        # The fabric's merged report keeps the build's numeric provenance.
-        assert engine.report.model_dtype == "float32"
-        assert engine.report.numeric_policy == "relaxed-ulp-f32"
-
 
 class TestShardedAssembler:
-    """The hash-bucketing stage on its own (no threads)."""
+    """The hash-bucketing stage on its own, outside the serving loop."""
 
     def test_shard_assignment_is_chunk_invariant(self, scenario):
         # The shard of a row is a pure function of its flow key, so the
@@ -386,126 +365,94 @@ class TestShardedAssembler:
             ShardedAssembler.from_template(make_assembler(scenario), 0)
 
 
-class _SlowClassifier:
-    """Delegates to a real classifier after a per-forward delay."""
+class _OnlyIter:
+    """A source the driver can do nothing with but iterate."""
 
-    def __init__(self, classifier, delay=0.002):
-        self.classifier = classifier
-        self.delay = delay
+    __slots__ = ("_chunks",)
 
-    def predict_logits(self, ids, mask, batch_size=32):
-        time.sleep(self.delay)
-        return self.classifier.predict_logits(ids, mask, batch_size=batch_size)
+    def __init__(self, chunks):
+        self._chunks = chunks
 
-
-class _FailingClassifier:
-    def predict_logits(self, ids, mask, batch_size=32):
-        raise RuntimeError("model fell over")
+    def __iter__(self):
+        return iter(self._chunks)
 
 
-class TestBackpressureAndShutdown:
-    """Bounded queues, clean drain, exception propagation."""
+class _OnlyPushFlush:
+    """An assembler exposing only what the unarmed driver may call."""
 
-    def test_queue_depths_stay_within_bounds_under_slow_engine(self, scenario):
-        bounds = {"chunk_queue": 2, "record_queue": 4, "output_queue": 8}
-        fabric = ServingFabric(
-            ColumnsSource(scenario["columns"], chunk_rows=13),
-            make_assembler(scenario),
-            make_engine(
-                scenario, classifier=_SlowClassifier(scenario["classifier"])
-            ),
-            workers=2, **bounds,
-        )
-        predictions = list(fabric)
-        reference = sync_reference(scenario, 13)
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def push(self, chunk):
+        return self._inner.push(chunk)
+
+    def flush(self):
+        return self._inner.flush()
+
+
+class _OnlySubmitFlush:
+    """An engine exposing only what the unarmed driver may call."""
+
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def submit(self, record):
+        return self._inner.submit(record)
+
+    def flush(self):
+        return self._inner.flush()
+
+
+class TestDriverInterface:
+    """The one serving loop's contract with the objects it drives."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("idle_timeout", [0.0, 0.2])
+    def test_unarmed_loop_needs_only_push_submit_flush(
+        self, scenario, shards, idle_timeout
+    ):
+        # The same narrow surface the benchmark's delegating probes expose.
+        assembler = make_assembler(scenario, idle_timeout=idle_timeout)
+        if shards is not None:
+            assembler = ShardedAssembler.from_template(assembler, shards)
+        chunks = list(chunk_columns(scenario["columns"], 13))
+        predictions = list(serve_stream(
+            _OnlyIter(chunks), _OnlyPushFlush(assembler),
+            _OnlySubmitFlush(make_engine(scenario)),
+        ))
+        reference = sync_reference(scenario, 13, idle_timeout)
         assert sorted(prediction_key(p) for p in predictions) == reference
-        queues = fabric.summary().get("queues", {})
-        assert queues, "fabric should sample queue depths"
-        assert queues["chunks"]["max_depth"] <= bounds["chunk_queue"]
-        for worker in range(2):
-            stage = f"records[{worker}]"
-            if stage in queues:
-                assert queues[stage]["max_depth"] <= bounds["record_queue"]
 
-    def test_clean_drain_and_worker_accounting(self, scenario):
-        fabric = ServingFabric(
+    @pytest.mark.parametrize("close_early", [False, True])
+    def test_armed_run_hands_back_the_callers_engine(self, scenario, close_early):
+        # A restart swaps the serving engine mid-run; the caller's engine
+        # still ends with its own classifier and output guard.
+        engine = make_engine(scenario, batch_size=1)
+        classifier, output_guard = engine.classifier, engine.output_guard
+        stream = serve_stream(
             ColumnsSource(scenario["columns"], chunk_rows=13),
-            make_assembler(scenario), make_engine(scenario), workers=2,
+            ShardedAssembler.from_template(
+                make_assembler(scenario, idle_timeout=0.2), 2
+            ),
+            engine,
+            policy="quarantine",
+            fault_plan=FaultPlan((FaultSpec("forward", 0, "raise"),)),
+            max_restarts=1, restart_backoff=0.0,
         )
-        predictions = list(fabric)
-        for thread in fabric._threads:
-            assert not thread.is_alive()
-        for engine in fabric.engines:
-            assert engine.pending == 0
-        summary = fabric.summary()
-        assert summary["flows"] == len(predictions)
-        workers = summary["workers"]
-        assert set(workers) == {"worker[0]", "worker[1]"}
-        assert sum(stats["flows"] for stats in workers.values()) == len(predictions)
-        for stats in workers.values():
-            assert 0.0 <= stats["utilization"] <= 1.0
-        assert 0.0 <= summary["cache_hit_rate"] <= 1.0
-
-    def test_early_consumer_close_does_not_hang(self, scenario):
-        fabric = ServingFabric(
-            ColumnsSource(scenario["columns"], chunk_rows=1),
-            make_assembler(scenario), make_engine(scenario),
-            workers=2, output_queue=2,
-        )
-        iterator = iter(fabric)
-        next(iterator)
-        iterator.close()
-        deadline = time.monotonic() + 10.0
-        for thread in fabric._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            assert not thread.is_alive()
-
-    def test_worker_exception_propagates(self, scenario):
-        fabric = ServingFabric(
-            ColumnsSource(scenario["columns"], chunk_rows=13),
-            make_assembler(scenario),
-            make_engine(scenario, classifier=_FailingClassifier()),
-            workers=2,
-        )
-        with pytest.raises(RuntimeError, match="model fell over"):
-            list(fabric)
-        for thread in fabric._threads:
-            assert not thread.is_alive()
-
-    def test_source_exception_propagates(self, scenario):
-        def broken_source():
-            yield from chunk_columns(scenario["columns"][:30], 13)
-            raise OSError("tap went away")
-
-        fabric = ServingFabric(
-            broken_source(), make_assembler(scenario), make_engine(scenario),
-            workers=2,
-        )
-        with pytest.raises(OSError, match="tap went away"):
-            list(fabric)
-
-    def test_fabric_validation(self, scenario):
-        source = ColumnsSource(scenario["columns"])
-        with pytest.raises(ValueError):
-            ServingFabric(source, make_assembler(scenario), make_engine(scenario),
-                          workers=0)
-        with pytest.raises(ValueError):
-            ServingFabric(source, make_assembler(scenario), make_engine(scenario),
-                          workers=2, chunk_queue=0)
-        with pytest.raises(TypeError):
-            ServingFabric(source, object(), make_engine(scenario), workers=2)
-        fabric = ServingFabric(
-            source, make_assembler(scenario), make_engine(scenario), workers=1
-        )
-        list(fabric)
-        with pytest.raises(RuntimeError):
-            list(fabric)
-
-    def test_thread_count_is_bounded(self, scenario):
-        # source + assembly + k workers, no stragglers left behind.
-        before = threading.active_count()
-        predictions = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13), workers=4
-        )
-        assert predictions
-        assert threading.active_count() == before
+        if close_early:
+            next(stream)
+            assert engine.classifier is not classifier
+            assert engine.output_guard is not output_guard
+            stream.close()
+        else:
+            predictions = list(stream)
+            reference = sync_reference(scenario, 13, 0.2)
+            assert sorted(prediction_key(p) for p in predictions) == reference
+            # The restarted engine's work is folded into the caller's report.
+            assert engine.report.flows == len(predictions)
+        assert engine.classifier is classifier
+        assert engine.output_guard is output_guard

@@ -129,14 +129,10 @@ def main(argv: list[str] | None = None) -> int:
         "serving_f32": (
             "serve/micro-batch (engine, f32)", e14.SERVING_F32_SPEEDUP_FLOOR
         ),
-        "serving_parallel": (
-            "serve/parallel (fabric)", e14.SERVING_PARALLEL_FLOOR
-        ),
     }
     trailing_db = load_trailing()
     serving = rows["serve/micro-batch (engine)"]
     serving_f32 = rows["serve/micro-batch (engine, f32)"]
-    parallel = rows["serve/parallel (fabric)"]
     obs = rows["serve/observability"]
     report = {
         "suite": "e14-throughput",
@@ -232,13 +228,6 @@ def main(argv: list[str] | None = None) -> int:
             "cache_hit_rate": round(serving_f32["cache_hit_rate"], 3),
             "model_dtype": serving_f32["model_dtype"],
             "numeric_policy": serving_f32["numeric_policy"],
-        },
-        "serving_parallel": {
-            "workers": int(parallel["workers"]),
-            "cores": e14.CPU_CORES,
-            "speedup": round(parallel["speedup"], 3),
-            "single_flows_per_s": round(parallel["per_packet_tok_s"], 1),
-            "fabric_flows_per_s": round(parallel["batched_tok_s"], 1),
         },
         # Observability scorecard (repro.obs, docs/OBSERVABILITY.md): the
         # measured cost of turning tracing on (tracing-off is the exact path
