@@ -6,9 +6,8 @@ the per-packet path versus the vectorized ``encode_batch`` fast path —
 including the columnar :class:`~repro.net.columns.PacketColumns` form of the
 fast path — (b) MLM pre-training steps through the legacy full-width
 batches versus the packed (length-bucketed, trimmed) batches, (c) the
-columnar *pipeline front end*: native ``generate_columns()`` traffic
-synthesis versus per-object generation + conversion, columnar flow grouping
-versus the per-object ``_group``, and the incremental-pair-count BPE
+columnar *pipeline front end*: columnar flow grouping versus the
+per-object ``_group``, and the incremental-pair-count BPE
 ``fit`` versus the reference ``Counter`` recount loop, (d) the columnar
 *capture edge*: ``read_pcap_columns`` versus the per-object reader plus
 conversion, and the columnar flow-statistics table versus the
@@ -19,17 +18,15 @@ unbatched per-flow inference over the same streamed closed-flow records
 
 The fast paths are *gated*: on a 2k-packet trace the batched byte encode
 must beat per-packet encode by at least 5x, the BPE encode by at least 9x,
-the columnar field-aware encode by at least 3x; columnar generation must
-beat the frozen pre-columnar object generators (``legacy_generators``) plus
-conversion by at least 5x, columnar flow grouping the per-object grouping
-by at least 3x, incremental BPE training the Counter loop by at least 5x;
-columnar pcap parsing must beat the object reader + conversion by at least
-5x and columnar flow statistics the object pipeline by at least 3x; the
-micro-batched serving engine must beat unbatched per-flow inference by at
-least 3x; the fused train step and the tape-free eval forward must beat
-their composed reference paths (trailing-margin floors; ~2x and ~1.5-1.8x
-as recorded on the reference host); and no batched path may lose to its
-per-example twin.
+the columnar field-aware encode by at least 3x; columnar flow grouping must
+beat the per-object grouping by at least 3x, incremental BPE training the
+Counter loop by at least 5x; columnar pcap parsing must beat the object
+reader + conversion by at least 5x and columnar flow statistics the object
+pipeline by at least 3x; the micro-batched serving engine must beat
+unbatched per-flow inference by at least 3x; the fused train step and the
+tape-free eval forward must beat their composed reference paths
+(trailing-margin floors; ~2x and ~1.5-1.8x as recorded on the reference
+host); and no batched path may lose to its per-example twin.
 
 Like the encode gates — which consume a prebuilt columnar batch, "the
 steady state of the columnar pipeline" — the pcap-parse gate measures the
@@ -61,7 +58,6 @@ from repro.traffic import EnterpriseScenario, EnterpriseScenarioConfig
 from tools.bench_report import gate_floor
 
 from .helpers import print_table
-from .legacy_generators import LegacyEnterpriseScenario
 
 # CI smoke mode: tiny sizes, structure exercised, speedup floors relaxed.
 SMOKE = os.environ.get("E14_SMOKE", "") == "1"
@@ -86,10 +82,8 @@ BPE_SPEEDUP_FLOOR = 0.5 if SMOKE else gate_floor("bpe_encode", 9.0)
 FIELD_COLUMNAR_SPEEDUP_FLOOR = (
     0.1 if SMOKE else gate_floor("field_aware_columnar_encode", 3.0)
 )
-# Columnar pipeline front end (PR 3): native columnar generation vs the
-# frozen pre-columnar per-object generators + conversion, columnar flow
-# grouping vs per-object grouping, incremental BPE fit vs the Counter loop.
-GENERATION_SPEEDUP_FLOOR = 0.5 if SMOKE else gate_floor("columnar_generation", 5.0)
+# Columnar pipeline front end: columnar flow grouping vs per-object
+# grouping, incremental BPE fit vs the Counter loop.
 GROUPING_SPEEDUP_FLOOR = 0.5 if SMOKE else gate_floor("columnar_flow_grouping", 3.0)
 BPE_FIT_SPEEDUP_FLOOR = 0.5 if SMOKE else gate_floor("incremental_bpe_fit", 5.0)
 BPE_FIT_MERGES = 16 if SMOKE else 60
@@ -142,7 +136,7 @@ TRAIN_PARITY_FLOOR = 0.5 if SMOKE else 1.0
 
 
 def generation_config(scale: int = 1) -> EnterpriseScenarioConfig:
-    """The DNS-weighted enterprise mix measured by the generation gate.
+    """The DNS-weighted enterprise mix the grouping and flow-stats gates use.
 
     DNS transactions dominate, mirroring the NorBERT-style capture the paper
     builds its quantitative argument on (pre-training on DNS traffic).
@@ -232,62 +226,34 @@ def _best_of(callable_, repeats: int = None) -> float:
     return best
 
 
-def _generation_times() -> dict[str, float]:
-    """Time both generation paths in the current process (see measure_generation)."""
-    config = generation_config(2) if not SMOKE else EnterpriseScenarioConfig(
-        seed=14, duration=8.0, dns_clients=4, dns_queries_per_client=4,
-        http_sessions=4, tls_sessions=4, iot_devices_per_type=1,
-    )
-    scenario = EnterpriseScenario(config)
-    packets_per_run = len(scenario.generate_columns())  # also warms caches
-    legacy = _best_of(
-        lambda: PacketColumns.from_packets(LegacyEnterpriseScenario(config).generate())
-    )
-    columnar = _best_of(scenario.generate_columns)
-    return {"packets": packets_per_run, "legacy": legacy, "columnar": columnar}
+def _times_in_fresh_process(timer):
+    """Run the module-level ``timer`` in a fresh child process; return its dict.
 
-
-def measure_generation() -> dict[str, float]:
-    """Native columnar generation vs per-object generation + conversion.
-
-    The object baseline is the frozen pre-columnar generator implementation
-    (``benchmarks.legacy_generators``) — exactly what a consumer paid to get
-    a :class:`PacketColumns` batch before generators synthesized columns
-    natively.  Both sides run the same scenario configuration end to end
-    (sub-generators, interleaving, capture effects).
-
-    The timing runs in a fresh subprocess: generation is the most
-    allocation-heavy stage in the suite, and a heap churned by whatever ran
-    earlier in the pytest session skews the ratio by tens of percent.  A
-    child process measures both sides on the same cold allocator; if
-    spawning fails the measurement falls back inline.
+    Pipeline stages are allocation-heavy, and a heap churned by whatever ran
+    earlier in the pytest session skews wall-clock ratios by tens of
+    percent, so a child process measures both sides on the same cold
+    allocator.  Smoke runs, and hosts where spawning fails, time inline.
     """
-    if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
-        )
-        child = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import json\n"
-                "from benchmarks.test_bench_e14_throughput import _generation_times\n"
-                "print(json.dumps(_generation_times()))",
-            ],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        if child.returncode == 0:
-            times = json.loads(child.stdout.strip().splitlines()[-1])
-        else:  # pragma: no cover - subprocess unavailable
-            times = _generation_times()
-    else:
-        times = _generation_times()
-    return {
-        "per_packet_tok_s": times["packets"] / times["legacy"],   # packets/s
-        "batched_tok_s": times["packets"] / times["columnar"],    # packets/s
-        "speedup": times["legacy"] / times["columnar"],
-    }
+    if SMOKE:
+        return timer()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+    )
+    name = timer.__name__
+    child = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import json\n"
+            f"from benchmarks.test_bench_e14_throughput import {name}\n"
+            f"print(json.dumps({name}()))",
+        ],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    if child.returncode != 0:  # pragma: no cover - subprocess unavailable
+        return timer()
+    return json.loads(child.stdout.strip().splitlines()[-1])
 
 
 def measure_grouping(columns: PacketColumns) -> dict[str, float]:
@@ -374,33 +340,9 @@ def _capture_times() -> dict[str, float]:
 
 
 def measure_capture_stage() -> dict[str, dict[str, float]]:
-    """Columnar pcap parse and flow statistics vs their object pipelines.
-
-    Timed in a fresh subprocess like :func:`measure_generation`: parsing and
-    flow assembly are allocation-heavy, and heap state from earlier pytest
-    stages skews the ratios by tens of percent.
-    """
-    if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
-        )
-        child = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import json\n"
-                "from benchmarks.test_bench_e14_throughput import _capture_times\n"
-                "print(json.dumps(_capture_times()))",
-            ],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        if child.returncode == 0:
-            times = json.loads(child.stdout.strip().splitlines()[-1])
-        else:  # pragma: no cover - subprocess unavailable
-            times = _capture_times()
-    else:
-        times = _capture_times()
+    """Columnar pcap parse and flow statistics vs their object pipelines
+    (timed in a fresh subprocess, see :func:`_times_in_fresh_process`)."""
+    times = _times_in_fresh_process(_capture_times)
     return {
         "parse/pcap (columnar)": {
             "per_packet_tok_s": times["packets"] / times["parse_object"],  # pkt/s
@@ -601,36 +543,15 @@ def _serving_times() -> dict[str, float]:
 def measure_serving() -> dict[str, dict[str, float]]:
     """Micro-batched serving vs per-flow inference (fresh subprocess).
 
-    Like :func:`measure_generation`: model forwards are allocation-heavy
-    and heap state from earlier pytest stages skews wall-clock ratios, so
-    the timing runs on a cold allocator in a child process when possible.
+    Model forwards are allocation-heavy, so the timing runs on a cold
+    allocator in a child process (see :func:`_times_in_fresh_process`).
 
     Returns two rows: the float64 engine (the scorecard row, gated by
     ``serving_micro_batch``) and the float32 serving build
     (``serving_f32``), both against the same unbatched per-flow float64
     baseline.
     """
-    if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [root, os.path.join(root, "src"), env.get("PYTHONPATH", "")]
-        )
-        child = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import json\n"
-                "from benchmarks.test_bench_e14_throughput import _serving_times\n"
-                "print(json.dumps(_serving_times()))",
-            ],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        if child.returncode == 0:
-            times = json.loads(child.stdout.strip().splitlines()[-1])
-        else:  # pragma: no cover - subprocess unavailable
-            times = _serving_times()
-    else:
-        times = _serving_times()
+    times = _times_in_fresh_process(_serving_times)
     return {
         "serve/micro-batch (engine)": {
             "per_packet_tok_s": times["flows"] / times["unbatched"],  # flows/s
@@ -698,7 +619,7 @@ def _model_times() -> dict[str, float]:
 
     ``forward``: the tape-free eval forward (the serving fast path behind
     ``predict_logits``) in its serving configuration — exact-length bucket,
-    so no attention mask (the engine's ``bucket_rounding=1`` contract), and
+    so no attention mask (the engine's exact-length buckets), and
     ``record_attention=False`` (serving never reads attention maps; the
     reference module loop always records them, as the old serving path
     did) — vs the composed module-graph loop on a classifier with the same
@@ -893,10 +814,9 @@ def measure_train(packets) -> dict[str, dict[str, float]]:
 
 
 def run_experiment() -> dict[str, dict[str, float]]:
-    # Pipeline order: synthesize, group, fit, encode, train.
+    # Pipeline order: group, fit, encode, train.
     rows: dict[str, dict[str, float]] = {}
-    rows["generate/columnar"] = measure_generation()
-    # Grouping is measured on the generation gate's larger capture so the
+    # Grouping is measured on a larger capture (generation_config(2)) so the
     # argsort's advantage over per-object dict grouping is well amortized.
     packets = build_trace(TRACE_PACKETS)
     columns = PacketColumns.from_packets(packets)
@@ -946,9 +866,6 @@ def test_bench_e14_throughput(benchmark):
     assert (
         rows["encode/field-aware (columnar)"]["speedup"] >= FIELD_COLUMNAR_SPEEDUP_FLOOR
     )
-    # Gate: native columnar generation >= 5x the pre-columnar object
-    # generators + conversion (frozen in benchmarks.legacy_generators).
-    assert rows["generate/columnar"]["speedup"] >= GENERATION_SPEEDUP_FLOOR
     # Gate: columnar flow grouping >= 3x the per-object grouping dict.
     assert rows["group/flow (columnar)"]["speedup"] >= GROUPING_SPEEDUP_FLOOR
     # Gate: incremental BPE fit >= 5x the Counter recount loop.

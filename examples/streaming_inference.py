@@ -10,10 +10,7 @@ An end-to-end `repro.serve` deployment:
    pipeline would produce for the same trace;
 4. serve the closed flows through the micro-batching ``InferenceEngine``
    with an LRU prediction cache keyed by the encoded context;
-5. print the serving scorecard: throughput, p50/p99 latency, cache hits;
-6. replay the same stream through a 2-shard ``ShardedAssembler``
-   (hash-partitioned flow state, driven by the same ``serve_stream`` loop)
-   and verify it served the identical multiset of records and logits.
+5. print the serving scorecard: throughput, p50/p99 latency, cache hits.
 
 Run with:  python examples/streaming_inference.py
 """
@@ -34,7 +31,6 @@ from repro.serve import (
     ColumnsSource,
     InferenceEngine,
     PredictionCache,
-    ShardedAssembler,
     StreamingFlowAssembler,
     serve_stream,
 )
@@ -52,7 +48,7 @@ def scenario(seed: int) -> EnterpriseScenario:
 
 
 def main() -> None:
-    print("[1/4] Offline: train a flow classifier on one capture ...")
+    print("[1/3] Offline: train a flow classifier on one capture ...")
     tokenizer = FieldAwareTokenizer()
     builder = FlowContextBuilder(max_tokens=MAX_TOKENS)
     train_columns = scenario(seed=1).generate_columns()
@@ -73,35 +69,23 @@ def main() -> None:
     classifier.fit(ids[keep], mask[keep], encoder.encode([labels[i] for i in keep]))
     print(f"        {len(keep)} labelled flows, {encoder.num_classes} classes")
 
-    print("[2/4] Online: stream a fresh capture through the serving stack ...")
+    print("[2/3] Online: stream a fresh capture through the serving stack ...")
     capture = scenario(seed=2).generate_columns()
 
-    def make_assembler() -> StreamingFlowAssembler:
-        return StreamingFlowAssembler(
-            tokenizer, vocabulary,
-            builder=FlowContextBuilder(max_tokens=MAX_TOKENS),
-            idle_timeout=60.0,
-        )
-
-    def make_engine() -> InferenceEngine:
-        return InferenceEngine(
-            classifier, batch_size=32, cache=PredictionCache(max_entries=4096)
-        )
-
-    def served_multiset(predictions) -> Counter:
-        return Counter(
-            (str(p.record.key), p.record.generation,
-             p.record.token_ids.tobytes(), p.logits.tobytes())
-            for p in predictions
-        )
-
-    engine = make_engine()
+    assembler = StreamingFlowAssembler(
+        tokenizer, vocabulary,
+        builder=FlowContextBuilder(max_tokens=MAX_TOKENS),
+        idle_timeout=60.0,
+    )
+    engine = InferenceEngine(
+        classifier, batch_size=32, cache=PredictionCache(max_entries=4096)
+    )
     predictions = list(serve_stream(
-        ColumnsSource(capture, chunk_rows=256), make_assembler(), engine
+        ColumnsSource(capture, chunk_rows=256), assembler, engine
     ))
     served = Counter(encoder.classes[p.class_id] for p in predictions)
 
-    print("[3/4] Serving scorecard")
+    print("[3/3] Serving scorecard")
     summary = engine.summary()
     print(f"        flows served      {summary['flows']}"
           f"  (packets {summary['packets']})")
@@ -115,17 +99,6 @@ def main() -> None:
     print("        predicted classes:")
     for label, count in served.most_common():
         print(f"          {label:24} {count}")
-
-    print("[4/4] Sharded assembly: same stream, 2 shards, identical multiset ...")
-    sharded = ShardedAssembler.from_template(make_assembler(), 2)
-    sharded_predictions = list(serve_stream(
-        ColumnsSource(capture, chunk_rows=256), sharded, make_engine()
-    ))
-    assert served_multiset(sharded_predictions) == served_multiset(predictions), (
-        "sharded assembly must serve the identical records and logits"
-    )
-    print(f"        {len(sharded_predictions)} flows over"
-          f" {sharded.num_shards} shards: records and logits identical")
 
 
 if __name__ == "__main__":

@@ -234,29 +234,43 @@ class FlowContextBuilder(ContextBuilder):
     def _id_column(self, columns: PacketColumns) -> np.ndarray:
         return columns.connection_ids
 
+    def row_keys(self, columns: PacketColumns) -> list:
+        """Per-row group keys: the metadata id rendered as ``"{prefix}-{id}"``
+        (``conn-`` / ``sess-``), else the row's fallback key.
+
+        The one home of the rule "which flow does this row belong to": the
+        offline grouping (for rows missing the integer id column) and the
+        streaming assembler both key rows with it, so a packet joins the same
+        flow whichever path groups it, and a flow keeps one key even when
+        *other* rows of some batch lack ids.
+        """
+        id_key = self._id_key
+        prefix = self._id_prefix
+        fallback = self._fallback_key
+        keys = []
+        for row, md in enumerate(columns.metadata):
+            if id_key in md:
+                keys.append(f"{prefix}-{md[id_key]}")
+            else:
+                keys.append(fallback(columns, row))
+        return keys
+
     def _group_codes(self, columns: PacketColumns) -> np.ndarray:
         """Per-row group codes, numbered in first-appearance order.
 
         Matches the partition *and* ordering of the per-object ``_group``
         dict.  When every row carries an integer id (the pre-extracted
         ``connection_ids`` / ``session_ids`` column) the codes come from one
-        ``np.unique`` plus a first-occurrence re-ranking; rows missing the
-        id take a per-row dict pass with the same keys the object path
-        would build.
+        ``np.unique`` plus a first-occurrence re-ranking; otherwise each row
+        is numbered by its :meth:`row_keys` key.
         """
         n = len(columns)
         ids = self._id_column(columns)
         if n and ids.min() < 0:
-            metadata = columns.metadata
-            key = self._id_key
             table: dict[object, int] = {}
             codes = np.empty(n, dtype=np.int64)
-            for row, md in enumerate(metadata):
-                if key in md:
-                    group = f"{self._id_prefix}-{md[key]}"
-                else:
-                    group = self._fallback_key(columns, row)
-                codes[row] = table.setdefault(group, len(table))
+            for row, key in enumerate(self.row_keys(columns)):
+                codes[row] = table.setdefault(key, len(table))
             return codes
         _, first_position, inverse = np.unique(ids, return_index=True, return_inverse=True)
         rank = np.empty(len(first_position), dtype=np.int64)

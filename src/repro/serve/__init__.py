@@ -36,13 +36,11 @@ substrate into an *online* engine, the system shape the paper's
 ``serve_stream(source, assembler, engine)`` wires the three stages into a
 single generator of :class:`FlowPrediction` objects, in one loop in the
 calling thread; its resilience options swap guarded stand-ins in for the
-stages and run the same loop.  A :class:`ShardedAssembler` (hash-partitioned
-flow state) drops in for the assembler and serves a multiset of records and
-logits bit-identical to the unsharded one.  See ``docs/SERVING.md`` and
+stages and run the same loop.  See ``docs/SERVING.md`` and
 ``examples/streaming_inference.py``.
 """
 
-from .assembler import FlowRecord, ShardedAssembler, StreamingFlowAssembler
+from .assembler import FlowRecord, StreamingFlowAssembler
 from .engine import FlowPrediction, InferenceEngine, PredictionCache, serve_stream
 from .faults import (
     FAULT_SITES,
@@ -88,7 +86,6 @@ __all__ = [
     "ScenarioSource",
     "FlowRecord",
     "StreamingFlowAssembler",
-    "ShardedAssembler",
     "PredictionCache",
     "FlowPrediction",
     "InferenceEngine",

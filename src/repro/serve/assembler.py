@@ -14,10 +14,10 @@ for any chunk size.
 
 Two properties make that equivalence hold:
 
-* grouping uses exactly the offline keys — the builder's metadata id
-  (``connection_id`` / ``session_id``) when present, its 5-tuple/endpoint
-  fallback otherwise — applied row by row, so a chunk boundary can never
-  change which flow a packet joins;
+* grouping uses exactly the offline keys — the builder's own
+  :meth:`~repro.context.builders.FlowContextBuilder.row_keys` (metadata id
+  when present, 5-tuple/endpoint fallback otherwise), applied row by row, so
+  a chunk boundary can never change which flow a packet joins;
 * the per-flow buffer keeps only the first ``max_packets`` rows (the only
   rows the offline context and its majority label can depend on), and
   closed flows re-enter the builder's own ``encode_columns``, so
@@ -43,7 +43,6 @@ on time-ordered traces.
 from __future__ import annotations
 
 import dataclasses
-import zlib
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from ..context.builders import FlowContextBuilder
 from ..net.columns import PacketColumns
 from ..net.flow_columns import is_idle_split
 
-__all__ = ["FlowRecord", "StreamingFlowAssembler", "ShardedAssembler"]
+__all__ = ["FlowRecord", "StreamingFlowAssembler"]
 
 
 @dataclasses.dataclass
@@ -186,27 +185,9 @@ class StreamingFlowAssembler:
     # Grouping keys
     # ------------------------------------------------------------------
     def row_keys(self, chunk: PacketColumns) -> list:
-        """Public per-row group keys (resilience policies need them to
-        attribute a failed chunk's rows to flows)."""
-        return self._row_keys(chunk)
-
-    def _row_keys(self, chunk: PacketColumns) -> list:
-        """Per-row group keys, identical to the builder's offline grouping.
-
-        Always the uniform per-row rule (metadata id string, else the
-        builder's fallback key) — never the all-integer fast path — so a
-        flow keeps one key even when *other* rows of some chunk lack ids.
-        """
-        builder = self.builder
-        id_key = builder._id_key
-        prefix = builder._id_prefix
-        keys = []
-        for row, md in enumerate(chunk.metadata):
-            if id_key in md:
-                keys.append(f"{prefix}-{md[id_key]}")
-            else:
-                keys.append(builder._fallback_key(chunk, row))
-        return keys
+        """Per-row flow keys (resilience policies need them to attribute a
+        failed chunk's rows to flows): the builder's :meth:`row_keys`."""
+        return self.builder.row_keys(chunk)
 
     # ------------------------------------------------------------------
     # Streaming
@@ -225,7 +206,7 @@ class StreamingFlowAssembler:
             return []
         timestamps = chunk.timestamps
         per_key: dict[object, list[int]] = {}
-        for row, key in enumerate(self._row_keys(chunk)):
+        for row, key in enumerate(self.builder.row_keys(chunk)):
             per_key.setdefault(key, []).append(row)
         closing: list[tuple] = []
         appends: list[tuple[_FlowState, list[int]]] = []
@@ -272,11 +253,9 @@ class StreamingFlowAssembler:
         """Advance the stream clock to ``t`` and evict flows idle against it.
 
         :meth:`push` applies the same rule with its chunk's largest
-        timestamp; a :class:`ShardedAssembler` additionally broadcasts the
-        *whole* chunk's clock to every shard — including shards that received
-        no rows — so the set of evicted flows (and each record's
-        ``closed_by`` reason) is identical to the single-assembler run on the
-        unsharded stream.
+        timestamp; a resilience policy calls this directly to advance time
+        past a failed chunk, so the surviving flows' idle evictions stay in
+        step with the unfailed run.
         """
         return self._encode(self._expire(t))
 
@@ -506,256 +485,3 @@ class StreamingFlowAssembler:
             for row, (key, state, reason) in enumerate(closing)
         ]
 
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _mix64(ids: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 column (vectorized, seed-free).
-
-    The shard hash must be a pure function of the value — stable across
-    processes and Python hash randomization — and well-mixed, so consecutive
-    connection ids (the generators hand them out sequentially) spread evenly
-    instead of striping shards.
-    """
-    x = (ids + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-    return x ^ (x >> np.uint64(31))
-
-
-def _string_shard(key: object, num_shards: int) -> int:
-    """Deterministic shard of a string flow key (CRC32, hash-seed free)."""
-    return zlib.crc32(str(key).encode("utf-8")) % num_shards
-
-
-_INT64_MAX = 2**63 - 1
-
-
-def _canonical_id(value) -> int:
-    """A metadata id as a vectorizable int64, or ``-1`` for the string path.
-
-    Pure function of the value (never of the surrounding chunk), so a flow's
-    shard is stable across any chunking.  Only plain non-negative integers in
-    int64 range qualify; bools, negatives, huge ints and everything else
-    falls back to hashing the rendered key string.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        value = int(value)
-        if 0 <= value <= _INT64_MAX:
-            return value
-    return -1
-
-
-class ShardedAssembler:
-    """Partition a packet stream across per-shard flow assemblers by key hash.
-
-    The sharding invariant: the shard of a row is a pure function of the
-    row's *flow key* — the exact key :class:`StreamingFlowAssembler` groups
-    by — so every packet of a flow lands on the same shard and each shard's
-    assembler sees a complete, order-preserved sub-stream.  Together with a
-    per-chunk stream-clock broadcast (:meth:`StreamingFlowAssembler.advance_clock`,
-    so idle eviction fires on the same global clock everywhere), the multiset
-    of emitted :class:`FlowRecord` objects — keys, generations, encoded
-    contexts, labels, packet counts, timestamps and ``closed_by`` reasons —
-    is identical to a single assembler consuming the unsharded stream.
-
-    Bucketing is vectorized: rows whose metadata carries the builder's
-    integer id (``connection_id`` / ``session_id``) are sharded by a
-    SplitMix64 hash of the id column in one array pass; only rows without a
-    usable integer id fall back to a per-row CRC32 of the same string key
-    the assembler itself would group by.  Those two hash domains can never
-    disagree about one key: an integer id ``n`` always produces the key
-    ``f"{prefix}-{n}"`` and always hashes through the integer path, while
-    fallback keys (5-tuple / endpoint strings, or non-canonical id values)
-    always hash through the string path.
-
-    ``push``/``flush`` are synchronous — sharding partitions the *state*,
-    and :func:`~repro.serve.engine.serve_stream` drives it like any
-    assembler.  Records closed by one call are merged in stream-clock order
-    (``end_time``, then ``start_time``, key and generation as tie-breaks),
-    deterministically for any shard count.
-    """
-
-    def __init__(self, assemblers: list[StreamingFlowAssembler]):
-        if not assemblers:
-            raise ValueError("at least one shard assembler is required")
-        template = assemblers[0]
-        for other in assemblers[1:]:
-            if other.builder.__class__ is not template.builder.__class__:
-                raise ValueError("shard assemblers must share a builder type")
-        self.assemblers = assemblers
-        self.builder = template.builder
-
-    @classmethod
-    def from_template(
-        cls, assembler: StreamingFlowAssembler, shards: int
-    ) -> "ShardedAssembler":
-        """Build ``shards`` assemblers configured like ``assembler``.
-
-        The shards share the template's tokenizer, vocabulary, builder and
-        tracer (all read-mostly at serve time; the trace recorder is
-        thread-safe); each gets its own flow-state dictionaries.  The
-        template itself is not used, so its open-flow state stays untouched.
-        """
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        return cls([
-            StreamingFlowAssembler(
-                assembler.tokenizer,
-                assembler.vocabulary,
-                builder=assembler.builder,
-                idle_timeout=assembler.idle_timeout,
-                active_timeout=assembler.active_timeout,
-                tracer=assembler.tracer,
-            )
-            for _ in range(shards)
-        ])
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self.assemblers)
-
-    def __len__(self) -> int:
-        """Total currently-open flows across every shard."""
-        return sum(len(assembler) for assembler in self.assemblers)
-
-    # ------------------------------------------------------------------
-    # Bucketing
-    # ------------------------------------------------------------------
-    def shard_rows(self, chunk: PacketColumns) -> np.ndarray:
-        """Per-row shard indices (the vectorized hash-bucketing pass)."""
-        num_shards = self.num_shards
-        builder = self.builder
-        id_key = builder._id_key
-        prefix = builder._id_prefix
-        n = len(chunk)
-        metadata = chunk.metadata
-        ids = np.fromiter(
-            (_canonical_id(md.get(id_key)) for md in metadata), np.int64, n
-        )
-        shards = np.empty(n, dtype=np.int64)
-        have_id = ids >= 0
-        if have_id.any():
-            shards[have_id] = (
-                _mix64(ids[have_id].astype(np.uint64)) % np.uint64(num_shards)
-            ).astype(np.int64)
-        for row in np.flatnonzero(~have_id):
-            md = metadata[row]
-            if id_key not in md:
-                shards[row] = _string_shard(
-                    builder._fallback_key(chunk, row), num_shards
-                )
-                continue
-            # Non-canonical id value.  Its rendered key may still collide
-            # with a canonical id's rendering (value "5" and value 5 both
-            # group as "conn-5"), so digit-canonical renderings re-enter the
-            # integer hash domain; everything else is string-hashed.  One key
-            # string therefore always hashes through exactly one domain.
-            rendered = str(md[id_key])
-            if (
-                rendered.isascii()
-                and rendered.isdigit()
-                and (rendered == "0" or not rendered.startswith("0"))
-                and int(rendered) <= _INT64_MAX
-            ):
-                shards[row] = int(
-                    _mix64(np.asarray([int(rendered)], dtype=np.uint64))[0]
-                ) % num_shards
-            else:
-                shards[row] = _string_shard(f"{prefix}-{rendered}", num_shards)
-        return shards
-
-    # ------------------------------------------------------------------
-    # Streaming
-    # ------------------------------------------------------------------
-    def push(self, chunk: PacketColumns) -> list[FlowRecord]:
-        """Route one chunk's rows to their shards; return the closed flows."""
-        closed: list[FlowRecord] = []
-        if len(chunk) == 0:
-            return closed
-        shards = self.shard_rows(chunk)
-        for shard, assembler in enumerate(self.assemblers):
-            rows = np.flatnonzero(shards == shard)
-            if len(rows):
-                closed.extend(assembler.push(chunk[rows]))
-        # Broadcast the chunk clock so shards that saw no rows still evict
-        # exactly what the single-assembler run would have evicted here.
-        clock = float(chunk.timestamps.max())
-        for assembler in self.assemblers:
-            closed.extend(assembler.advance_clock(clock))
-        return self._merged(closed)
-
-    def advance_clock(self, t: float) -> list[FlowRecord]:
-        """Broadcast the stream clock to every shard; merge the evictions.
-
-        Lets a resilience policy advance time past a failed chunk (whose
-        rows were lost) so the surviving flows' idle evictions stay in step
-        with the single-assembler sync path.
-        """
-        closed: list[FlowRecord] = []
-        for assembler in self.assemblers:
-            closed.extend(assembler.advance_clock(t))
-        return self._merged(closed)
-
-    def flush(self) -> list[FlowRecord]:
-        """Close and emit every remaining open flow on every shard."""
-        closed: list[FlowRecord] = []
-        for assembler in self.assemblers:
-            closed.extend(assembler.flush())
-        return self._merged(closed)
-
-    # ------------------------------------------------------------------
-    # Resilience hooks
-    # ------------------------------------------------------------------
-    def row_keys(self, chunk: PacketColumns) -> list:
-        """Per-row flow keys, identical to any shard's own grouping."""
-        return self.assemblers[0].row_keys(chunk)
-
-    def pending_generation(self, key: object) -> int:
-        """The generation ``key``'s next record would carry (its shard's)."""
-        # Only the owning shard has state for the key; the rest report 0.
-        return max(a.pending_generation(key) for a in self.assemblers)
-
-    def discard_flow(self, key: object) -> int:
-        """Drop ``key``'s open buffer on whichever shard holds it."""
-        return sum(a.discard_flow(key) for a in self.assemblers)
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore
-    # ------------------------------------------------------------------
-    CHECKPOINT_FORMAT = "repro.serve.sharded-assembler/v1"
-
-    def checkpoint(self) -> dict:
-        """Nested snapshot: one per-shard assembler checkpoint each."""
-        return {
-            "format": self.CHECKPOINT_FORMAT,
-            "version": 1,
-            "shards": [a.checkpoint() for a in self.assemblers],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Load a :meth:`checkpoint` snapshot into matching shards."""
-        if state.get("format") != self.CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"not a sharded-assembler checkpoint: {state.get('format')!r}"
-            )
-        shards = state["shards"]
-        if len(shards) != self.num_shards:
-            raise ValueError(
-                f"checkpoint has {len(shards)} shards, assembler has "
-                f"{self.num_shards}"
-            )
-        for assembler, shard_state in zip(self.assemblers, shards):
-            assembler.restore(shard_state)
-
-    @staticmethod
-    def _merged(closed: list[FlowRecord]) -> list[FlowRecord]:
-        """Stream-clock merge: deterministic order for any shard count."""
-        closed.sort(
-            key=lambda r: (r.end_time, r.start_time, str(r.key), r.generation)
-        )
-        return closed

@@ -133,20 +133,6 @@ class InferenceEngine:
         A :class:`PredictionCache`, or ``None`` to disable caching (the
         benchmark's gated configuration, so the measured speedup is pure
         micro-batching).
-    bucket_rounding:
-        Flows are bucketed by context length rounded up to this multiple;
-        each bucket's forward is trimmed to its longest real row (exact
-        under masking), so short flows never pay full-width compute.  The
-        default of 1 buckets by *exact* length: every row in such a batch
-        has zero padding, which lets the forward skip attention masking
-        entirely — bit-identical (no position is masked) and measurably
-        faster, since the mask materializes ``(batch, heads, seq, seq)``
-        temporaries.
-    serve_dtype:
-        ``None`` (default) serves the classifier as built.  ``"float32"``
-        builds a float32 serving replica up front (via the classifier's
-        ``serving_build``) and serves that: the accelerated packed-gemm
-        path under the documented-ulp policy of :mod:`repro.nn.numeric`.
     tracer:
         Optional :class:`repro.obs.trace.TraceRecorder`.  When set, every
         served flow gets a ``batched`` span (submit until its micro-batch
@@ -156,6 +142,14 @@ class InferenceEngine:
         only — predictions, logits and cache contents are bit-identical
         with or without it — and ``None`` (the default) leaves the serving
         path unchanged.
+
+    Flows are bucketed by *exact* context length and each bucket's forward
+    is trimmed to that width, so short flows never pay full-width compute
+    and no row in a batch carries padding: the forward skips attention
+    masking entirely — bit-identical (no position is masked) and measurably
+    faster, since the mask materializes ``(batch, heads, seq, seq)``
+    temporaries.  The classifier is served as built; for the float32
+    packed-gemm path pass ``classifier.serving_build("float32")``.
 
     Cache keys are namespaced by the model build dtype: an engine caches
     and looks up under ``b"<dtype>:" + record.cache_key``, so a float32 and
@@ -170,31 +164,16 @@ class InferenceEngine:
         batch_size: int = 32,
         max_pending: int = 256,
         cache: "PredictionCache | None" = None,
-        bucket_rounding: int = 1,
-        serve_dtype: "str | None" = None,
         tracer=None,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if max_pending < batch_size:
             raise ValueError("max_pending must be at least batch_size")
-        if bucket_rounding <= 0:
-            raise ValueError("bucket_rounding must be positive")
-        if serve_dtype is not None and serve_dtype != getattr(
-            classifier, "model_dtype", "float64"
-        ):
-            build = getattr(classifier, "serving_build", None)
-            if build is None:
-                raise ValueError(
-                    f"classifier cannot be rebuilt in {serve_dtype!r}: "
-                    "it has no serving_build()"
-                )
-            classifier = build(serve_dtype)
         self.classifier = classifier
         self.batch_size = batch_size
         self.max_pending = max_pending
         self.cache = cache
-        self.bucket_rounding = bucket_rounding
         # Optional output guard (resilience): called as guard(record, row)
         # for every non-finite logits row before the batch is emitted;
         # returns "drop"/"degrade" or raises, per policy.
@@ -218,9 +197,9 @@ class InferenceEngine:
         """A fresh engine with this one's configuration and empty state.
 
         The worker supervisor restarts a crashed engine this way: same
-        classifier, batch size, backpressure bound and bucket rounding, but
-        an independent bucket map, report, and — when the original carried
-        a cache — an empty :class:`PredictionCache` of the same capacity.
+        classifier, batch size and backpressure bound, but an independent
+        bucket map, report, and — when the original carried a cache — an
+        empty :class:`PredictionCache` of the same capacity.
         """
         return InferenceEngine(
             self.classifier,
@@ -230,7 +209,6 @@ class InferenceEngine:
                 None if self.cache is None
                 else PredictionCache(max_entries=self.cache.max_entries)
             ),
-            bucket_rounding=self.bucket_rounding,
             tracer=self.tracer,
         )
 
@@ -291,8 +269,7 @@ class InferenceEngine:
                         cached=True,
                     )
                 return [prediction]
-        width = len(record)
-        bucket = -(-width // self.bucket_rounding) * self.bucket_rounding
+        bucket = len(record)
         queue = self._buckets.setdefault(bucket, [])
         queue.append((record, submitted, trace_submit))
         self._pending += 1
@@ -448,9 +425,8 @@ def serve_stream(
     remainder at end of stream), and the engine micro-batches the closed
     flows through the model, in order.  The loop uses nothing but
     ``iter(source)``, ``assembler.push``/``flush`` and
-    ``engine.submit``/``flush``, so a
-    :class:`~repro.serve.assembler.ShardedAssembler` (or any object with
-    that interface) serves unchanged.
+    ``engine.submit``/``flush``, so any object with that interface (a
+    delegating timing wrapper, say) serves unchanged.
 
     Resilience (see :mod:`repro.serve.resilience`): ``policy`` selects the
     per-stage error policy (``"fail_fast"`` — the default — ``"quarantine"``

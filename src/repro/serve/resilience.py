@@ -590,9 +590,8 @@ class ArmedRun:
 def save_checkpoint(assembler, path) -> dict:
     """Snapshot ``assembler``'s open-flow state to ``path`` (pickle).
 
-    Works for both :class:`StreamingFlowAssembler` and
-    :class:`ShardedAssembler` (each defines ``checkpoint()``).  Returns the
-    state dict that was written.
+    Writes :meth:`StreamingFlowAssembler.checkpoint` and returns the state
+    dict that was written.
     """
     state = assembler.checkpoint()
     with open(path, "wb") as handle:
@@ -603,7 +602,7 @@ def save_checkpoint(assembler, path) -> dict:
 def load_checkpoint(assembler, path):
     """Restore ``assembler`` from a :func:`save_checkpoint` file.
 
-    The assembler must be configured identically (timeouts, shard count) to
+    The assembler must be configured identically (same timeouts) to
     the one that saved the snapshot; resuming the remaining stream then
     produces records bit-identical to the uninterrupted run.  Returns the
     assembler.

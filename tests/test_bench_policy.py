@@ -87,8 +87,8 @@ class TestRepoTrailingDatabase:
 
         if e14.SMOKE:  # pragma: no cover - suite running in smoke mode
             pytest.skip("E14 imported in smoke mode; floors are hand-set")
-        assert e14.GENERATION_SPEEDUP_FLOOR == gate_floor(
-            "columnar_generation", 5.0, trailing=database
+        assert e14.GROUPING_SPEEDUP_FLOOR == gate_floor(
+            "columnar_flow_grouping", 3.0, trailing=database
         )
         assert e14.SERVING_SPEEDUP_FLOOR == gate_floor(
             "serving_micro_batch", 3.0, trailing=database

@@ -17,7 +17,42 @@ from repro.context.builders import encode_contexts
 from repro.net import PacketColumns, build_packet
 from repro.netglue.solvers import _PacketTaskEncoder, SolverSettings, _subsample
 from repro.tokenize import BPETokenizer, ByteTokenizer, FieldAwareTokenizer, Vocabulary
-from repro.traffic import EnterpriseScenario, EnterpriseScenarioConfig
+from repro.traffic import (
+    AttackConfig,
+    AttackGenerator,
+    DNSWorkloadConfig,
+    DNSWorkloadGenerator,
+    EnterpriseScenario,
+    EnterpriseScenarioConfig,
+    HTTPWorkloadConfig,
+    HTTPWorkloadGenerator,
+    TLSWorkloadConfig,
+    TLSWorkloadGenerator,
+)
+
+GENERATED_TRAFFIC = {
+    "dns": lambda: DNSWorkloadGenerator(
+        DNSWorkloadConfig(seed=1, duration=8.0, num_clients=5, queries_per_client=6)
+    ),
+    "http": lambda: HTTPWorkloadGenerator(
+        HTTPWorkloadConfig(seed=2, duration=8.0, num_sessions=8, requests_per_session=2)
+    ),
+    "tls": lambda: TLSWorkloadGenerator(
+        TLSWorkloadConfig(seed=3, duration=8.0, num_sessions=10)
+    ),
+    "attack": lambda: AttackGenerator(
+        AttackConfig(
+            seed=4, duration=8.0, scan_ports=20, flood_packets=25,
+            tunnel_queries=12, beacon_count=10, brute_force_attempts=15,
+        )
+    ),
+    "enterprise": lambda: EnterpriseScenario(
+        EnterpriseScenarioConfig(
+            seed=6, duration=12.0, dns_clients=4, dns_queries_per_client=5,
+            http_sessions=6, tls_sessions=6, iot_devices_per_type=1,
+        )
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +106,55 @@ class TestColumnarFlowContexts:
         for index, group in enumerate(object_groups):
             rows = order[bounds[index] : bounds[index + 1]]
             assert [packets[r] for r in rows] == group
+
+    @pytest.mark.parametrize("builder_class", [FlowContextBuilder, SessionContextBuilder])
+    def test_row_keys_match_object_grouping_keys(self, builder_class):
+        # row_keys is the one per-row flow-key rule (the streaming assembler
+        # and the columnar grouping both use it): every packet gets the key
+        # the object path's _group files it under, on a batch mixing integer
+        # and digit-string metadata ids with rows that take the fallback.
+        packets = [
+            build_packet(0.0, "10.0.0.1", "10.0.0.2", "TCP", 1111, 80,
+                         metadata={"connection_id": 5, "session_id": 1}),
+            build_packet(0.1, "10.0.0.2", "10.0.0.1", "TCP", 80, 1111,
+                         metadata={"connection_id": "5", "session_id": "1"}),
+            build_packet(0.2, "10.0.0.3", "10.0.0.2", "UDP", 2222, 53),
+            build_packet(0.3, "10.0.0.2", "10.0.0.3", "UDP", 53, 2222),
+            build_packet(0.4, "10.0.0.4", "10.0.0.2", "TCP", 3333, 443,
+                         metadata={"connection_id": 7, "session_id": 2}),
+        ]
+        builder = builder_class()
+        expected = {
+            id(packet): key
+            for key, group in builder._group(packets).items()
+            for packet in group
+        }
+        columns = PacketColumns.from_packets(packets)
+        keys = builder.row_keys(columns)
+        assert keys == [expected[id(packet)] for packet in packets]
+        assert keys[0] == keys[1]
+        _, bounds = builder.group_columns(columns)
+        assert len(bounds) - 1 == len(set(keys))
+
+    @pytest.mark.parametrize("builder_class", [FlowContextBuilder, SessionContextBuilder])
+    @pytest.mark.parametrize("generator", sorted(GENERATED_TRAFFIC))
+    def test_row_keys_match_object_grouping_on_generated_traffic(
+        self, generator, builder_class
+    ):
+        # The same agreement on every traffic generator's own mix of ids
+        # and fallback rows.
+        columns = GENERATED_TRAFFIC[generator]().generate_columns()
+        packets = columns.to_packets()
+        builder = builder_class()
+        expected = {
+            id(packet): key
+            for key, group in builder._group(packets).items()
+            for packet in group
+        }
+        keys = builder.row_keys(columns)
+        assert keys == [expected[id(packet)] for packet in packets]
+        _, bounds = builder.group_columns(columns)
+        assert len(bounds) - 1 == len(set(keys))
 
     def test_fallback_keys_without_metadata_ids(self):
         # Packets with no connection/session ids group by 5-tuple / source ip.

@@ -3,10 +3,10 @@
 The observability hard constraint (``docs/OBSERVABILITY.md``): attaching a
 :class:`~repro.obs.trace.TraceRecorder` to the assembler and engine must not
 perturb a single served bit.  This suite runs every E14 traffic scenario
-through the serving loop, once without a tracer and once with (unsharded,
-and through sharded assemblers whose shards share the tracer), and asserts
+through the serving loop at several chunk sizes, with and without idle
+eviction, once without a tracer and once with, and asserts
 the served flow-record multiset *and* logits are bit-identical (the same
-``prediction_key`` comparison the sharded bit-identity suite uses).  It also
+``prediction_key`` comparison the scenario suite uses).  It also
 sanity-checks the traces themselves: every served flow has its full span
 lifecycle.  CI runs this as the dedicated observability step.
 """
@@ -16,9 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import TraceRecorder
-from repro.serve import ColumnsSource, ShardedAssembler, serve_stream
+from repro.serve import ColumnsSource, serve_stream
 
-from test_serve_sharded import (
+from test_serve_scenarios import (
     SCENARIOS,
     make_assembler,
     make_engine,
@@ -30,36 +30,61 @@ from test_serve_sharded import (
 CHUNK_ROWS = 13
 
 # Tracing-off references, computed once per scenario — against THIS module's
-# fixture instances.  Deliberately not test_serve_sharded's shared sync cache:
+# fixture instances.  Deliberately not test_serve_scenarios' shared cache:
 # flow keys carry process-global connection ids, so each module's regenerated
 # captures differ by key and the caches must not cross-pollinate.
 _REFERENCE: dict = {}
 
 
-def reference(scn):
-    if scn["name"] not in _REFERENCE:
+def reference(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0):
+    cache_key = (scn["name"], chunk_rows, idle_timeout)
+    if cache_key not in _REFERENCE:
         predictions = run_serve(
-            scn, ColumnsSource(scn["columns"], chunk_rows=CHUNK_ROWS)
+            scn, ColumnsSource(scn["columns"], chunk_rows=chunk_rows),
+            idle_timeout=idle_timeout,
         )
-        _REFERENCE[scn["name"]] = sorted(prediction_key(p) for p in predictions)
-    return _REFERENCE[scn["name"]]
+        _REFERENCE[cache_key] = sorted(prediction_key(p) for p in predictions)
+    return _REFERENCE[cache_key]
 
 
-def traced_serve(scn, shards=None):
-    """One full serve of the scenario with tracing on; returns (keys, tracer).
-
-    ``shards=k`` serves through a k-way sharded assembler whose shards share
-    the tracer.
-    """
+def traced_serve(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0):
+    """One full serve of the scenario with tracing on; returns (keys, tracer)."""
     tracer = TraceRecorder()
-    assembler = make_assembler(scn, idle_timeout=0.0, tracer=tracer)
-    if shards is not None:
-        assembler = ShardedAssembler.from_template(assembler, shards)
+    assembler = make_assembler(scn, idle_timeout=idle_timeout, tracer=tracer)
     engine = make_engine(scn, tracer=tracer)
     predictions = list(serve_stream(
-        ColumnsSource(scn["columns"], chunk_rows=CHUNK_ROWS), assembler, engine,
+        ColumnsSource(scn["columns"], chunk_rows=chunk_rows), assembler, engine,
     ))
     return sorted(prediction_key(p) for p in predictions), tracer, predictions
+
+
+def check_lifecycle(tracer, predictions):
+    """Every served flow is emitted once, with its spans in pipeline order."""
+    # In-flow recording order: cache hits are announced just before the
+    # cached result is emitted, hence cache_hit slots in ahead of emitted.
+    rank = {stage: i for i, stage in enumerate((
+        "first_packet", "flow_closed", "encode", "batched", "inferred",
+        "cache_hit", "emitted",
+    ))}
+    # Each served flow is emitted exactly once.
+    emitted = [s for s in tracer.spans if s.stage == "emitted"]
+    assert sorted((s.flow, s.generation) for s in emitted) == sorted(
+        (str(p.record.key), p.record.generation) for p in predictions
+    )
+    for p in predictions:
+        spans = tracer.spans_for(p.record.key, p.record.generation)
+        stages = [s.stage for s in spans]
+        assert stages[0] == "first_packet"
+        assert "flow_closed" in stages and "encode" in stages
+        assert stages[-1] == "emitted"
+        if p.cached:
+            assert "cache_hit" in stages
+        else:
+            assert "batched" in stages and "inferred" in stages
+        # Pipeline order holds within a flow (sync path, single clock).
+        assert [rank[s] for s in stages if s in rank] == sorted(
+            rank[s] for s in stages if s in rank
+        )
 
 
 class TestTracingIsObservationOnly:
@@ -70,12 +95,13 @@ class TestTracingIsObservationOnly:
         traced, _, _ = traced_serve(scenario)
         assert traced == expected
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_bit_identical(self, scenario, shards):
-        # Traced sharded assembly vs the untraced unsharded reference.
-        expected = reference(scenario)
-        traced, _, _ = traced_serve(scenario, shards=shards)
-        assert traced == expected
+    @pytest.mark.parametrize("chunk_rows", [1, 50, None])
+    def test_bit_identical_across_chunking(self, scenario, chunk_rows):
+        # Chunk boundaries decide when encode spans open and close; the
+        # served bits must not notice, down to one packet per chunk.
+        chunk_rows = chunk_rows or len(scenario["columns"])
+        traced, _, _ = traced_serve(scenario, chunk_rows=chunk_rows)
+        assert traced == reference(scenario, chunk_rows)
 
 
 class TestTraceCoversTheServedFlows:
@@ -83,43 +109,15 @@ class TestTraceCoversTheServedFlows:
 
     def test_sync_lifecycle_per_flow(self, scenario):
         _, tracer, predictions = traced_serve(scenario)
-        # In-flow recording order: cache hits are announced just before the
-        # cached result is emitted, hence cache_hit slots in ahead of emitted.
-        rank = {stage: i for i, stage in enumerate((
-            "first_packet", "flow_closed", "encode", "batched", "inferred",
-            "cache_hit", "emitted",
-        ))}
-        for p in predictions:
-            spans = tracer.spans_for(p.record.key, p.record.generation)
-            stages = [s.stage for s in spans]
-            assert stages[0] == "first_packet"
-            assert "flow_closed" in stages and "encode" in stages
-            assert stages[-1] == "emitted"
-            if p.cached:
-                assert "cache_hit" in stages
-            else:
-                assert "batched" in stages and "inferred" in stages
-            # Pipeline order holds within a flow (sync path, single clock).
-            assert [rank[s] for s in stages if s in rank] == sorted(
-                rank[s] for s in stages if s in rank
-            )
+        check_lifecycle(tracer, predictions)
 
-    @pytest.mark.parametrize("shards", [2])
-    def test_sharded_spans_cover_every_flow(self, scenario, shards):
-        # Shards share one recorder: each served flow is emitted exactly
-        # once and keeps its assembly-side spans, whichever shard held it.
-        _, tracer, predictions = traced_serve(scenario, shards=shards)
-        emitted = [s for s in tracer.spans if s.stage == "emitted"]
-        assert len(emitted) == len(predictions)
-        assert sorted((s.flow, s.generation) for s in emitted) == sorted(
-            (str(p.record.key), p.record.generation) for p in predictions
-        )
-        for p in predictions:
-            stages = {
-                s.stage
-                for s in tracer.spans_for(p.record.key, p.record.generation)
-            }
-            assert {"first_packet", "flow_closed", "encode", "emitted"} <= stages
+    def test_idle_timeout_lifecycle_per_flow(self, scenario):
+        # With idle eviction flows close mid-stream and one key serves
+        # several generations: each generation keeps its own lifecycle, and
+        # the traced run still serves the untraced bits.
+        traced, tracer, predictions = traced_serve(scenario, idle_timeout=0.2)
+        assert traced == reference(scenario, idle_timeout=0.2)
+        check_lifecycle(tracer, predictions)
 
 
 def test_all_scenarios_present():

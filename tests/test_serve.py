@@ -333,8 +333,8 @@ class TestInferenceEngine:
         )
         hits64 = cache.hits
         predictions32, engine32 = self._streamed(
-            columns, encoded, classifier, chunk_rows=32, batch_size=8,
-            cache=cache, serve_dtype="float32",
+            columns, encoded, classifier.serving_build("float32"),
+            chunk_rows=32, batch_size=8, cache=cache,
         )
         assert engine64.model_dtype == "float64"
         assert engine32.model_dtype == "float32"
@@ -361,8 +361,8 @@ class TestInferenceEngine:
             columns, encoded, classifier, chunk_rows=32, batch_size=8
         )
         _, engine32 = self._streamed(
-            columns, encoded, classifier, chunk_rows=32, batch_size=8,
-            serve_dtype="float32",
+            columns, encoded, classifier.serving_build("float32"),
+            chunk_rows=32, batch_size=8,
         )
         assert engine64.summary()["model_dtype"] == "float64"
         assert engine64.summary()["numeric_policy"] == "bit-exact-f64"
@@ -754,8 +754,8 @@ class TestBatchedClosure:
         ]
 
 
-class TestResilientServeRestoresEngine:
-    """A resilient run never leaves its guard or fault plan on the engine."""
+class TestArmedServeRestoresEngine:
+    """An armed run never leaves its guard or fault plan on the engine."""
 
     def _run(self, capture, encoded, classifier, close_early):
         from repro.serve import FaultPlan, FaultSpec

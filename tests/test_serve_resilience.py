@@ -35,7 +35,6 @@ from repro.serve import (
     InferenceEngine,
     PoisonedLogitsError,
     PredictionCache,
-    ShardedAssembler,
     SourceFaultError,
     StreamingFlowAssembler,
     chunk_columns,
@@ -121,15 +120,10 @@ def make_engine(scn, classifier=None, **kwargs):
     return InferenceEngine(classifier or scn["classifier"], **kwargs)
 
 
-def run_resilient(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0, shards=None,
-                  engine=None, **options):
-    """Serve the scenario's stream; return (predictions, engine).
-
-    ``shards=k`` swaps in a k-way :class:`ShardedAssembler`.
-    """
+def run_resilient(scn, chunk_rows=CHUNK_ROWS, idle_timeout=0.0, engine=None,
+                  **options):
+    """Serve the scenario's stream; return (predictions, engine)."""
     assembler = make_assembler(scn, idle_timeout=idle_timeout)
-    if shards is not None:
-        assembler = ShardedAssembler.from_template(assembler, shards)
     engine = engine or make_engine(scn)
     source = ColumnsSource(scn["columns"], chunk_rows=chunk_rows)
     predictions = list(serve_stream(source, assembler, engine, **options))
@@ -306,22 +300,20 @@ class TestChaosMatrix:
         assert plan.fired
         check_conservation(scenario, predictions, dlq, idle_timeout=0.2)
 
-    @pytest.mark.parametrize("shards", [2])
-    @pytest.mark.parametrize(
-        "case", ["source-raise", "source-corrupt", "assembly-raise", "logits-nan"]
-    )
-    def test_sharded_quarantine_conserves(self, scenario, case, shards):
-        # The same invariant over a sharded assembler: the guard poisons and
-        # discards flow keys on whichever shard holds them.
+    @pytest.mark.parametrize("case", sorted(FAULT_CASES))
+    def test_quarantine_conserves_on_small_chunks(self, scenario, case):
+        # The same fault ordinals land on other flows when chunks are 4
+        # rows, not 13: the invariant must not depend on where the chunk
+        # boundaries fall.
         make_plan, _ = FAULT_CASES[case]
         plan = make_plan()
         dlq = DeadLetterQueue()
         predictions, _ = run_resilient(
-            scenario, shards=shards, policy="quarantine",
+            scenario, chunk_rows=4, policy="quarantine",
             fault_plan=plan, dead_letters=dlq,
         )
         assert plan.fired
-        check_conservation(scenario, predictions, dlq)
+        check_conservation(scenario, predictions, dlq, chunk_rows=4)
 
     @pytest.mark.parametrize("scenario", ["dns"], indirect=True)
     def test_chunk_index_counts_failed_reads(self, scenario):
@@ -361,15 +353,15 @@ class TestRandomChaosSweep:
 
     @pytest.mark.parametrize("policy", ["quarantine", "degrade"])
     @pytest.mark.parametrize("draw", [0, 1])
-    def test_random_plan_conserves_sharded(self, scenario, policy, draw):
-        # The same seeded plans over a 2-shard assembler under the one loop.
+    def test_random_plan_conserves_with_idle_timeout(self, scenario, policy, draw):
+        # The same seeded plans while idle eviction closes flows mid-stream.
         plan = FaultPlan.random(self.SEED * 100 + draw, faults=3, max_index=8)
         dlq = DeadLetterQueue()
         predictions, _ = run_resilient(
-            scenario, shards=2, policy=policy, fault_plan=plan,
+            scenario, idle_timeout=0.2, policy=policy, fault_plan=plan,
             dead_letters=dlq, max_restarts=3, restart_backoff=0.005,
         )
-        check_conservation(scenario, predictions, dlq)
+        check_conservation(scenario, predictions, dlq, idle_timeout=0.2)
 
 
 # ----------------------------------------------------------------------
@@ -398,17 +390,18 @@ class TestWorkerSupervision:
         assert counters["restarts"] >= 1
         assert counters["retries"] >= 1
 
-    def test_sharded_restart_recovery_is_bit_identical(self, scenario):
-        # Drain + replay behind a 2-shard assembler serves the unsharded
-        # fault-free multiset.
+    def test_restart_recovery_with_idle_timeout(self, scenario):
+        # Drain + replay while idle eviction closes flows mid-stream serves
+        # the fault-free multiset of the same timeout, close reasons included.
         plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
         dlq = DeadLetterQueue()
         predictions, engine = run_resilient(
-            scenario, shards=2, policy="quarantine", fault_plan=plan,
+            scenario, idle_timeout=0.2, policy="quarantine", fault_plan=plan,
             dead_letters=dlq, max_restarts=2, restart_backoff=0.005,
         )
         reference = sorted(
-            prediction_key(p) for p in sync_predictions(scenario)
+            prediction_key(p)
+            for p in sync_predictions(scenario, idle_timeout=0.2)
         )
         assert sorted(prediction_key(p) for p in predictions) == reference
         assert plan.fired
@@ -460,31 +453,27 @@ class TestWorkerSupervision:
 # Checkpoint / restore: interrupted assembly resumes bit-identically
 # ----------------------------------------------------------------------
 class TestCheckpointRestore:
-    def _new_assembler(self, scn, sharded):
-        assembler = make_assembler(scn, idle_timeout=0.2)
-        if sharded:
-            return ShardedAssembler.from_template(assembler, 3)
-        return assembler
-
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_resume_is_bit_identical(self, scenario, tmp_path, sharded):
+    @pytest.mark.parametrize("cut", [0.25, 0.5, 0.75])
+    def test_resume_is_bit_identical(self, scenario, tmp_path, cut):
+        # Wherever the stream is interrupted, the resumed records equal the
+        # uninterrupted run's, in order.
         chunks = list(chunk_columns(scenario["columns"], CHUNK_ROWS))
-        half = max(1, len(chunks) // 2)
+        half = max(1, int(len(chunks) * cut))
 
-        full = self._new_assembler(scenario, sharded)
+        full = make_assembler(scenario, idle_timeout=0.2)
         uninterrupted = []
         for chunk in chunks:
             uninterrupted.extend(full.push(chunk))
         uninterrupted.extend(full.flush())
 
-        head = self._new_assembler(scenario, sharded)
+        head = make_assembler(scenario, idle_timeout=0.2)
         resumed = []
         for chunk in chunks[:half]:
             resumed.extend(head.push(chunk))
         state = save_checkpoint(head, tmp_path / "assembler.ckpt")
         assert state["format"] == type(head).CHECKPOINT_FORMAT
         tail = load_checkpoint(
-            self._new_assembler(scenario, sharded), tmp_path / "assembler.ckpt"
+            make_assembler(scenario, idle_timeout=0.2), tmp_path / "assembler.ckpt"
         )
         for chunk in chunks[half:]:
             resumed.extend(tail.push(chunk))
@@ -537,19 +526,26 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError, match="idle_timeout"):
             make_assembler(scenario, idle_timeout=0.2).restore(state)
 
-    def test_restore_rejects_wrong_shard_count(self, scenario):
-        state = ShardedAssembler.from_template(
-            make_assembler(scenario), 3
-        ).checkpoint()
-        wrong = ShardedAssembler.from_template(make_assembler(scenario), 2)
-        with pytest.raises(ValueError, match="shards"):
-            wrong.restore(state)
+    def test_restore_rejects_mismatched_active_timeout(self, scenario):
+        state = make_assembler(scenario, active_timeout=1.0).checkpoint()
+        with pytest.raises(ValueError, match="active_timeout"):
+            make_assembler(scenario, active_timeout=2.0).restore(state)
 
-    def test_sharded_rejects_unsharded_checkpoint(self, scenario):
-        state = make_assembler(scenario).checkpoint()
-        sharded = ShardedAssembler.from_template(make_assembler(scenario), 2)
-        with pytest.raises(ValueError, match="checkpoint"):
-            sharded.restore(state)
+    def test_restore_replaces_open_state(self, scenario):
+        # Restoring drops whatever the target had open: it holds exactly the
+        # checkpointed flows and flushes exactly their records.
+        chunks = list(chunk_columns(scenario["columns"], CHUNK_ROWS))
+        source = make_assembler(scenario)
+        source.push(chunks[0])
+        state = source.checkpoint()
+        target = make_assembler(scenario)
+        for chunk in chunks:
+            target.push(chunk)
+        target.restore(state)
+        assert len(target) == len(source)
+        assert [record_key(r) for r in target.flush()] == [
+            record_key(r) for r in source.flush()
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Sharded flow assembly under the one serving loop — differential validation.
+"""The one serving loop over the five E14 scenarios — differential validation.
 
-A :class:`~repro.serve.assembler.ShardedAssembler` hash-partitions open-flow
-state by flow key.  Its contract is *bit-identity as a multiset*: for any
-chunk size and shard count, ``serve_stream`` over a sharded assembler must
-serve exactly the flows the unsharded path serves — same encoded contexts,
-labels, generations, timestamps and close reasons, and logits identical to
-the last bit — only the arrival order may differ.  The harness checks that
-differentially, per scenario: every sharded run is compared against the
-unsharded path on the same stream *and* against the offline reference
+``serve_stream`` over a :class:`~repro.serve.assembler.StreamingFlowAssembler`
+must serve exactly the flows the offline pipeline builds — same encoded
+contexts and labels, with logits matching the batched solver forward — for
+any chunk size, and an idle timeout must close the same flows (generations,
+timestamps and logits, to the last bit) whatever the chunking.  The
+harness checks that per scenario (DNS, HTTP, TLS, attack, enterprise mix)
+against the offline reference
 (:meth:`~repro.context.builders.FlowContextBuilder.encode_columns` plus the
-batched solver forward), over a sweep of chunk sizes {1, k, n} × shards
-{1, 2, 4} × idle timeouts × traffic scenarios (DNS, HTTP, TLS, attack,
-enterprise mix), plus a seeded out-of-order/burst arrival case.
+batched solver forward), over chunk sizes {1, k, n} × engine micro-batch
+sizes × idle timeouts, plus seeded out-of-order/burst arrival cases.  The
+assembler is also checked on its own: per-row flow keys, open-flow
+accounting and active-timeout closure must not depend on the chunking.
 
 The interface half pins what the driver needs: with resilience off,
 ``serve_stream`` touches only ``push``/``flush`` on the assembler and
@@ -26,14 +26,12 @@ import pytest
 
 from repro.context import FlowContextBuilder
 from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
-from repro.net import PacketColumns, build_packet
 from repro.serve import (
     ColumnsSource,
     FaultPlan,
     FaultSpec,
     InferenceEngine,
     PredictionCache,
-    ShardedAssembler,
     StreamingFlowAssembler,
     burst_chunks,
     chunk_columns,
@@ -125,11 +123,9 @@ def make_engine(scn, classifier=None, **kwargs):
     return InferenceEngine(classifier or scn["classifier"], **kwargs)
 
 
-def run_serve(scn, source, shards=None, idle_timeout=0.0, engine=None, **options):
-    """Serve ``source``; ``shards=k`` swaps in a k-way sharded assembler."""
+def run_serve(scn, source, idle_timeout=0.0, engine=None, **options):
+    """Serve ``source`` through a fresh assembler and (default) engine."""
     assembler = make_assembler(scn, idle_timeout=idle_timeout)
-    if shards is not None:
-        assembler = ShardedAssembler.from_template(assembler, shards)
     engine = engine or make_engine(scn)
     return list(serve_stream(source, assembler, engine, **options))
 
@@ -145,16 +141,8 @@ def prediction_key(p):
     )
 
 
-def record_key(r):
-    return (
-        str(r.key), r.generation, r.token_ids.tobytes(),
-        r.attention_mask.tobytes(), r.label, r.packet_count,
-        r.start_time, r.end_time, r.closed_by,
-    )
-
-
-# Unsharded references are deterministic per (scenario, chunk, idle) —
-# computed once and shared across the shard-count sweep.
+# References are deterministic per (scenario, chunk, idle) — computed once
+# and shared by every test that compares against them.
 _SYNC_CACHE: dict = {}
 
 
@@ -169,36 +157,32 @@ def sync_reference(scn, chunk_rows, idle_timeout=0.0):
     return _SYNC_CACHE[cache_key]
 
 
+def offline_rows(ids, mask, labels):
+    """The offline rows as a sorted multiset of (ids, mask, label) bytes."""
+    return sorted(
+        (ids[row].tobytes(), mask[row].tobytes(), labels[row])
+        for row in range(len(ids))
+    )
+
+
+def served_rows(predictions):
+    return sorted(
+        (p.record.token_ids.tobytes(), p.record.attention_mask.tobytes(),
+         p.record.label)
+        for p in predictions
+    )
+
+
 class TestDifferentialScenarioSweep:
-    """Sharded == unsharded == offline reference, per scenario."""
+    """Streamed == offline reference, per scenario and chunking."""
 
-    @pytest.mark.parametrize("idle_timeout", [0.0, 0.2])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("chunk_rows", [1, 13, None])
-    def test_sharded_matches_unsharded_bitwise(
-        self, scenario, chunk_rows, shards, idle_timeout
-    ):
-        # With an idle timeout, eviction happens mid-stream, across the
-        # per-chunk clock broadcast.
-        columns = scenario["columns"]
-        chunk_rows = chunk_rows or len(columns)
-        reference = sync_reference(scenario, chunk_rows, idle_timeout)
-        predictions = run_serve(
-            scenario, ColumnsSource(columns, chunk_rows=chunk_rows),
-            shards=shards, idle_timeout=idle_timeout,
-        )
-        assert sorted(prediction_key(p) for p in predictions) == reference
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_matches_offline_reference(self, scenario, shards):
+    def test_chunked_matches_offline_reference(self, scenario, chunk_rows):
         # Without timeouts every flow closes at flush, so the served multiset
         # must be exactly the offline encode_columns rows — and each row's
         # logits must match the offline batched solver forward.
+        columns = scenario["columns"]
         ids, mask, labels = scenario["ids"], scenario["mask"], scenario["labels"]
-        offline = sorted(
-            (ids[row].tobytes(), mask[row].tobytes(), labels[row])
-            for row in range(len(ids))
-        )
         by_content = {}
         for row in range(len(ids)):
             by_content.setdefault(
@@ -206,15 +190,10 @@ class TestDifferentialScenarioSweep:
                 scenario["offline_logits"][row],
             )
         predictions = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            shards=shards,
+            scenario,
+            ColumnsSource(columns, chunk_rows=chunk_rows or len(columns)),
         )
-        served = sorted(
-            (p.record.token_ids.tobytes(), p.record.attention_mask.tobytes(),
-             p.record.label)
-            for p in predictions
-        )
-        assert served == offline
+        assert served_rows(predictions) == offline_rows(ids, mask, labels)
         for p in predictions:
             content = (
                 p.record.token_ids.tobytes(),
@@ -224,44 +203,144 @@ class TestDifferentialScenarioSweep:
                 p.logits, by_content[content], rtol=0, atol=1e-10
             )
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_out_of_order_burst_arrival(self, scenario, shards):
+    @pytest.mark.parametrize("chunk_rows", [1, 13])
+    def test_idle_timeout_is_chunk_invariant(self, scenario, chunk_rows):
+        # With an idle timeout, eviction happens mid-stream against the
+        # stream clock; the flows it closes must not depend on the chunking.
+        # Only the close reason may: an idle gap is seen either by the
+        # stream clock at a chunk boundary ("evict") or by the flow's next
+        # packet inside one chunk ("idle").
+        def same_gap(fields):
+            reason = "idle" if fields[-2] == "evict" else fields[-2]
+            return fields[:-2] + (reason, fields[-1])
+
+        whole = len(scenario["columns"])
+        predictions = run_serve(
+            scenario, ColumnsSource(scenario["columns"], chunk_rows=chunk_rows),
+            idle_timeout=0.2,
+        )
+        assert sorted(same_gap(prediction_key(p)) for p in predictions) == sorted(
+            map(same_gap, sync_reference(scenario, whole, 0.2))
+        )
+
+    @pytest.mark.parametrize("idle_timeout", [0.0, 0.2])
+    @pytest.mark.parametrize("batch_size", [1, 4, 32])
+    @pytest.mark.parametrize("chunk_rows", [1, 13, None])
+    def test_micro_batching_is_bit_identical(
+        self, scenario, chunk_rows, batch_size, idle_timeout
+    ):
+        # The engine's micro-batch size decides which records share one
+        # forward; on the f64 build that must not move a served bit —
+        # records, close reasons and logits all equal the batch-8 run on
+        # the same chunking.
+        columns = scenario["columns"]
+        chunk_rows = chunk_rows or len(columns)
+        predictions = run_serve(
+            scenario, ColumnsSource(columns, chunk_rows=chunk_rows),
+            idle_timeout=idle_timeout,
+            engine=make_engine(scenario, batch_size=batch_size),
+        )
+        assert sorted(prediction_key(p) for p in predictions) == sync_reference(
+            scenario, chunk_rows, idle_timeout
+        )
+
+    @pytest.mark.parametrize("burst", [5, 17])
+    def test_out_of_order_burst_arrival(self, scenario, burst):
         # Seeded multi-queue-tap shape: flows interleaved out of global
         # capture order (per-flow order kept), delivered in variable-size
-        # bursts.  The sharded path must still match both the unsharded path
-        # on the same arrival and the offline reference for the arrived
-        # stream.
+        # bursts.  The served multiset must match the offline reference for
+        # the arrived stream.
         shuffled = interleave_columns(scenario["columns"], seed=7)
-        bursts = list(burst_chunks(shuffled, 17, seed=3))
-        reference = run_serve(scenario, bursts)
-        predictions = run_serve(scenario, bursts, shards=shards)
-        assert (
-            sorted(prediction_key(p) for p in predictions)
-            == sorted(prediction_key(p) for p in reference)
+        predictions = run_serve(
+            scenario, list(burst_chunks(shuffled, burst, seed=3))
         )
         ids, mask, labels = FlowContextBuilder(max_tokens=MAX_TOKENS).encode_columns(
             shuffled, scenario["tokenizer"], scenario["vocabulary"],
             return_labels=True,
         )
+        assert served_rows(predictions) == offline_rows(ids, mask, labels)
+
+    def test_cacheless_engine_matches_cached(self, scenario):
+        source = lambda: ColumnsSource(scenario["columns"], chunk_rows=13)
+        cached = run_serve(scenario, source())
+        cacheless = run_serve(
+            scenario, source(), engine=make_engine(scenario, cache=None)
+        )
         assert (
-            sorted((p.record.token_ids.tobytes(), p.record.label)
-                   for p in predictions)
-            == sorted((ids[row].tobytes(), labels[row]) for row in range(len(ids)))
+            sorted(prediction_key(p) for p in cacheless)
+            == sorted(prediction_key(p) for p in cached)
         )
 
-    def test_cacheless_engine_matches_unsharded(self, scenario):
-        sync = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            engine=make_engine(scenario, cache=None),
-        )
-        predictions = run_serve(
-            scenario, ColumnsSource(scenario["columns"], chunk_rows=13),
-            shards=3, engine=make_engine(scenario, cache=None),
-        )
-        assert (
-            sorted(prediction_key(p) for p in predictions)
-            == sorted(prediction_key(p) for p in sync)
-        )
+
+def record_key(r):
+    return (
+        str(r.key), r.generation, r.token_ids.tobytes(),
+        r.attention_mask.tobytes(), r.label, r.packet_count,
+        r.start_time, r.end_time, r.closed_by,
+    )
+
+
+def assemble(scn, chunk_rows, **kwargs):
+    """Every record the assembler alone emits for the chunked capture."""
+    assembler = make_assembler(scn, **kwargs)
+    records = []
+    for chunk in chunk_columns(scn["columns"], chunk_rows):
+        records.extend(assembler.push(chunk))
+    records.extend(assembler.flush())
+    return records
+
+
+class TestStreamingFlowAssembler:
+    """The assembly stage on its own, outside the serving loop."""
+
+    def test_row_keys_are_chunk_invariant(self, scenario):
+        # A row's flow key is a pure function of the row, so keying the
+        # capture chunk by chunk gives the whole-capture keys, whatever the
+        # chunking.
+        assembler = make_assembler(scenario)
+        columns = scenario["columns"]
+        whole = assembler.row_keys(columns)
+        assert len(whole) == len(columns)
+        for chunk_rows in (1, 13, 50):
+            keys = [
+                key
+                for chunk in chunk_columns(columns, chunk_rows)
+                for key in assembler.row_keys(chunk)
+            ]
+            assert keys == whole
+
+    def test_row_keys_name_the_offline_flows(self, scenario):
+        # Without timeouts each distinct key is one flow: as many as the
+        # offline encode has rows, and exactly the keys flush emits.
+        assembler = make_assembler(scenario)
+        keys = set(assembler.row_keys(scenario["columns"]))
+        assert len(keys) == len(scenario["ids"])
+        records = assembler.push(scenario["columns"]) + assembler.flush()
+        assert sorted(str(r.key) for r in records) == sorted(map(str, keys))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 13, 50])
+    def test_open_flow_accounting(self, scenario, chunk_rows):
+        # With no timeouts nothing closes before flush: the open-flow count
+        # is the number of distinct keys seen so far, and flush empties it.
+        assembler = make_assembler(scenario)
+        seen = set()
+        for chunk in chunk_columns(scenario["columns"], chunk_rows):
+            assert assembler.push(chunk) == []
+            seen.update(assembler.row_keys(chunk))
+            assert len(assembler) == len(seen)
+        assert len(assembler.flush()) == len(seen)
+        assert len(assembler) == 0
+
+    @pytest.mark.parametrize("chunk_rows", [1, 13, 50])
+    def test_active_timeout_is_chunk_invariant(self, scenario, chunk_rows):
+        # Active-timeout closure depends only on each flow's own packets, so
+        # without idle eviction the records — close reasons included — are
+        # the whole-capture records bit for bit.
+        whole_rows = len(scenario["columns"])
+        whole = assemble(scenario, whole_rows, active_timeout=0.01)
+        chunked = assemble(scenario, chunk_rows, active_timeout=0.01)
+        assert sorted(map(record_key, chunked)) == sorted(map(record_key, whole))
+        assert any(r.closed_by == "active" for r in whole)
 
 
 class TestFloat32ServingParity:
@@ -278,7 +357,9 @@ class TestFloat32ServingParity:
         p64 = run_serve(scenario, source(), engine=make_engine(scenario))
         p32 = run_serve(
             scenario, source(),
-            engine=make_engine(scenario, serve_dtype="float32"),
+            engine=make_engine(
+                scenario, scenario["classifier"].serving_build("float32")
+            ),
         )
         identity = lambda p: (str(p.record.key), p.record.generation)
         assert [identity(p) for p in p32] == [identity(p) for p in p64]
@@ -291,78 +372,6 @@ class TestFloat32ServingParity:
                 ours.logits, theirs.logits, budget,
                 f"{scenario['name']} logits for flow {ours.record.key}",
             )
-
-
-class TestShardedAssembler:
-    """The hash-bucketing stage on its own, outside the serving loop."""
-
-    def test_shard_assignment_is_chunk_invariant(self, scenario):
-        # The shard of a row is a pure function of its flow key, so the
-        # assignment cannot depend on how the stream was chunked.
-        template = make_assembler(scenario)
-        sharded = ShardedAssembler.from_template(template, 4)
-        columns = scenario["columns"]
-        whole = sharded.shard_rows(columns)
-        for chunk_rows in (1, 13, 50):
-            parts = [
-                sharded.shard_rows(chunk)
-                for chunk in chunk_columns(columns, chunk_rows)
-            ]
-            assert np.array_equal(np.concatenate(parts), whole)
-
-    def test_int_and_digit_string_ids_share_a_shard(self, scenario):
-        # connection_id 5 and connection_id "5" group under the same key
-        # ("conn-5"), so they must land on the same shard — one key can
-        # never hash through two domains.
-        sharded = ShardedAssembler.from_template(make_assembler(scenario), 4)
-        packets = [
-            build_packet(0.0, "10.0.0.1", "10.0.0.2", "TCP", 1111, 80,
-                         metadata={"connection_id": 5}),
-            build_packet(0.1, "10.0.0.1", "10.0.0.2", "TCP", 1111, 80,
-                         metadata={"connection_id": "5"}),
-            build_packet(0.2, "10.0.0.3", "10.0.0.4", "UDP", 2222, 53,
-                         metadata={"connection_id": "05"}),
-            build_packet(0.3, "10.0.0.5", "10.0.0.6", "UDP", 2223, 53),
-        ]
-        shards = sharded.shard_rows(PacketColumns.from_packets(packets))
-        assert shards[0] == shards[1]
-        assert all(0 <= s < 4 for s in shards)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_eviction_parity_with_single_assembler(self, scenario, shards):
-        # Same records, same generations, same closed_by reasons: the
-        # stream-clock broadcast keeps every shard's idle eviction on the
-        # global clock, not its own sub-stream's.
-        columns = scenario["columns"]
-        single = make_assembler(scenario, idle_timeout=0.2)
-        sharded = ShardedAssembler.from_template(
-            make_assembler(scenario, idle_timeout=0.2), shards
-        )
-        reference, records = [], []
-        for chunk in chunk_columns(columns, 13):
-            reference.extend(single.push(chunk))
-            records.extend(sharded.push(chunk))
-        reference.extend(single.flush())
-        records.extend(sharded.flush())
-        assert sorted(map(record_key, records)) == sorted(map(record_key, reference))
-        assert len(sharded) == 0
-
-    def test_open_flow_accounting(self, scenario):
-        columns = scenario["columns"]
-        single = make_assembler(scenario)
-        sharded = ShardedAssembler.from_template(make_assembler(scenario), 4)
-        for chunk in chunk_columns(columns, 50):
-            single.push(chunk)
-            sharded.push(chunk)
-            assert len(sharded) == len(single)
-        sharded.flush()
-        assert len(sharded) == 0
-
-    def test_validation(self, scenario):
-        with pytest.raises(ValueError):
-            ShardedAssembler([])
-        with pytest.raises(ValueError):
-            ShardedAssembler.from_template(make_assembler(scenario), 0)
 
 
 class _OnlyIter:
@@ -410,15 +419,12 @@ class _OnlySubmitFlush:
 class TestDriverInterface:
     """The one serving loop's contract with the objects it drives."""
 
-    @pytest.mark.parametrize("shards", [None, 2])
     @pytest.mark.parametrize("idle_timeout", [0.0, 0.2])
     def test_unarmed_loop_needs_only_push_submit_flush(
-        self, scenario, shards, idle_timeout
+        self, scenario, idle_timeout
     ):
         # The same narrow surface the benchmark's delegating probes expose.
         assembler = make_assembler(scenario, idle_timeout=idle_timeout)
-        if shards is not None:
-            assembler = ShardedAssembler.from_template(assembler, shards)
         chunks = list(chunk_columns(scenario["columns"], 13))
         predictions = list(serve_stream(
             _OnlyIter(chunks), _OnlyPushFlush(assembler),
@@ -435,9 +441,7 @@ class TestDriverInterface:
         classifier, output_guard = engine.classifier, engine.output_guard
         stream = serve_stream(
             ColumnsSource(scenario["columns"], chunk_rows=13),
-            ShardedAssembler.from_template(
-                make_assembler(scenario, idle_timeout=0.2), 2
-            ),
+            make_assembler(scenario, idle_timeout=0.2),
             engine,
             policy="quarantine",
             fault_plan=FaultPlan((FaultSpec("forward", 0, "raise"),)),

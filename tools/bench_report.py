@@ -111,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         "field_aware_columnar_encode": (
             "encode/field-aware (columnar)", e14.FIELD_COLUMNAR_SPEEDUP_FLOOR
         ),
-        "columnar_generation": ("generate/columnar", e14.GENERATION_SPEEDUP_FLOOR),
         "columnar_flow_grouping": ("group/flow (columnar)", e14.GROUPING_SPEEDUP_FLOOR),
         "incremental_bpe_fit": ("fit/bpe (incremental)", e14.BPE_FIT_SPEEDUP_FLOOR),
         "columnar_pcap_parse": ("parse/pcap (columnar)", e14.PCAP_PARSE_SPEEDUP_FLOOR),
