@@ -95,6 +95,10 @@ def main() -> None:
           f"  p99 {summary['p99_ms']:.2f} ms")
     print(f"        micro-batches     {summary['batches']}"
           f"  (mean size {summary['mean_batch']:.1f})")
+    triggers = ", ".join(
+        f"{name} {count}" for name, count in summary["batches_by_trigger"].items()
+    )
+    print(f"        batch triggers    {triggers}")
     print(f"        cache hit rate    {summary['cache_hit_rate']:.1%}")
     print("        predicted classes:")
     for label, count in served.most_common():

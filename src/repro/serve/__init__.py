@@ -16,8 +16,9 @@ substrate into an *online* engine, the system shape the paper's
   :meth:`~repro.context.builders.FlowContextBuilder.encode_columns`;
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, length-bucketed
   micro-batching over a classifier's eval-mode forward, with a
-  :class:`PredictionCache` keyed by the encoded context and bounded-queue
-  backpressure;
+  :class:`PredictionCache` keyed by the encoded context, bounded-queue
+  backpressure and a stream-clock max-wait deadline that bounds how long
+  any flow waits for its bucket;
 * :mod:`repro.serve.report` — :class:`ServingReport`, the
   throughput/latency/cache scorecard published in ``BENCH_e14.json``,
   backed by the bounded, exactly-mergeable
@@ -72,12 +73,14 @@ from .stream import (
     PcapReplaySource,
     ScenarioSource,
     burst_chunks,
+    chunk_clock,
     chunk_columns,
     interleave_columns,
 )
 
 __all__ = [
     "chunk_columns",
+    "chunk_clock",
     "burst_chunks",
     "interleave_columns",
     "PacketSource",

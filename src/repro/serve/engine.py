@@ -19,11 +19,22 @@ stored logits for flows the model has already seen, without any forward at
 all.  A bounded pending queue provides backpressure: when more flows are
 waiting than ``max_pending``, the engine drains buckets synchronously
 instead of queueing without limit.
+
+A bucket that neither fills nor is the fullest would wait for unrelated
+traffic — on an unbounded stream, forever.  The *max-wait deadline* bounds
+that: :meth:`InferenceEngine.advance_clock` moves the engine's stream clock
+(capture time, not wall time, so a run stays deterministic) and runs every
+bucket whose oldest flow has waited ``max_wait`` stream-seconds, oldest
+first — the inference-side twin of the NetFlow active timeout.  Buckets
+hold flows of one exact length, so the deadline changes only *when* a row
+is served, never its float64 bits.  :func:`serve_stream` advances the clock
+once per chunk.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -31,6 +42,7 @@ import numpy as np
 from ..nn.numeric import numeric_policy
 from .assembler import FlowRecord
 from .report import ServingReport
+from .stream import chunk_clock
 
 __all__ = ["PredictionCache", "FlowPrediction", "InferenceEngine", "serve_stream"]
 
@@ -133,6 +145,12 @@ class InferenceEngine:
         A :class:`PredictionCache`, or ``None`` to disable caching (the
         benchmark's gated configuration, so the measured speedup is pure
         micro-batching).
+    max_wait:
+        The deadline, in stream-seconds: :meth:`advance_clock` runs every
+        bucket whose oldest flow has waited this long.  ``math.inf``
+        disables it (buckets then run only when full, under backpressure,
+        or at :meth:`flush`); ``0`` runs every pending flow at each clock
+        advance.
     tracer:
         Optional :class:`repro.obs.trace.TraceRecorder`.  When set, every
         served flow gets a ``batched`` span (submit until its micro-batch
@@ -165,14 +183,20 @@ class InferenceEngine:
         max_pending: int = 256,
         cache: "PredictionCache | None" = None,
         tracer=None,
+        max_wait: float = 5.0,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if max_pending < batch_size:
             raise ValueError("max_pending must be at least batch_size")
+        if not max_wait >= 0:  # also rejects NaN
+            raise ValueError(
+                "max_wait must be non-negative (math.inf disables the deadline)"
+            )
         self.classifier = classifier
         self.batch_size = batch_size
         self.max_pending = max_pending
+        self.max_wait = float(max_wait)
         self.cache = cache
         # Optional output guard (resilience): called as guard(record, row)
         # for every non-finite logits row before the batch is emitted;
@@ -184,6 +208,10 @@ class InferenceEngine:
         # timestamp and, when tracing, the tracer-clock submit time the
         # ``batched`` (queue-wait) span starts from.
         self._buckets: dict[int, list[tuple[FlowRecord, float, float]]] = {}
+        # bucket -> the stream clock when its oldest pending entry arrived
+        # (-inf: it arrived before the clock was first advanced).
+        self._born: dict[int, float] = {}
+        self._clock = -math.inf
         self._pending = 0
         # Cache-key namespace: the build dtype is part of every key (see
         # class docstring).  Fixed at construction — serving builds cast
@@ -197,11 +225,12 @@ class InferenceEngine:
         """A fresh engine with this one's configuration and empty state.
 
         The worker supervisor restarts a crashed engine this way: same
-        classifier, batch size and backpressure bound, but an independent
-        bucket map, report, and — when the original carried a cache — an
-        empty :class:`PredictionCache` of the same capacity.
+        classifier, batch size, backpressure bound, deadline and stream
+        clock, but an independent bucket map, report, and — when the
+        original carried a cache — an empty :class:`PredictionCache` of the
+        same capacity.
         """
-        return InferenceEngine(
+        fresh = InferenceEngine(
             self.classifier,
             batch_size=self.batch_size,
             max_pending=self.max_pending,
@@ -210,7 +239,10 @@ class InferenceEngine:
                 else PredictionCache(max_entries=self.cache.max_entries)
             ),
             tracer=self.tracer,
+            max_wait=self.max_wait,
         )
+        fresh._clock = self._clock
+        return fresh
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,6 +260,11 @@ class InferenceEngine:
     def pending(self) -> int:
         """Flows submitted but not yet run through the model."""
         return self._pending
+
+    @property
+    def clock(self) -> float:
+        """The stream clock: the latest time :meth:`advance_clock` reached."""
+        return self._clock
 
     def summary(self) -> dict:
         """The serving scorecard (see :meth:`ServingReport.summary`)."""
@@ -270,15 +307,18 @@ class InferenceEngine:
                     )
                 return [prediction]
         bucket = len(record)
-        queue = self._buckets.setdefault(bucket, [])
+        queue = self._buckets.get(bucket)
+        if queue is None:
+            queue = self._buckets[bucket] = []
+            self._born[bucket] = self._clock
         queue.append((record, submitted, trace_submit))
         self._pending += 1
         try:
             if len(queue) >= self.batch_size:
-                completed.extend(self._run_bucket(bucket))
+                completed.extend(self._run_bucket(bucket, "full"))
             while self._pending > self.max_pending:
                 fullest = max(self._buckets, key=lambda b: len(self._buckets[b]))
-                completed.extend(self._run_bucket(fullest))
+                completed.extend(self._run_bucket(fullest, "backpressure"))
         except BaseException:
             # Earlier buckets in this call already emitted (observed, cached)
             # but their predictions were never returned; park them so the
@@ -287,12 +327,45 @@ class InferenceEngine:
             raise
         return completed
 
+    def advance_clock(self, t: float) -> list[FlowPrediction]:
+        """Advance the stream clock to ``t``; run the buckets past deadline.
+
+        Every bucket whose oldest flow arrived ``max_wait`` or more
+        stream-seconds before the clock runs now, oldest first; a bucket
+        that arrived before the clock was first advanced counts as arriving
+        at ``t``.  The clock never moves back.  Crash-safe like
+        :meth:`submit`: buckets that ran before a crash are parked for
+        :meth:`drain_completed`, the crashed one stays pending.  Records the
+        age of the oldest flow still pending afterwards
+        (``oldest_pending_s`` in the report).
+        """
+        if t > self._clock:
+            self._clock = t
+        clock, max_wait = self._clock, self.max_wait
+        due = []
+        for bucket, born in self._born.items():
+            if born == -math.inf:
+                self._born[bucket] = born = clock
+            if max_wait < math.inf and clock - born >= max_wait:
+                due.append((born, bucket))
+        completed: list[FlowPrediction] = []
+        try:
+            for _, bucket in sorted(due):
+                completed.extend(self._run_bucket(bucket, "deadline"))
+        except BaseException:
+            self._completed_backlog.extend(completed)
+            raise
+        self.report.observe_oldest_pending(
+            clock - min(self._born.values()) if self._born else 0.0
+        )
+        return completed
+
     def flush(self) -> list[FlowPrediction]:
         """Run every pending bucket (shortest first); return the predictions."""
         completed: list[FlowPrediction] = []
         try:
             for bucket in sorted(self._buckets):
-                completed.extend(self._run_bucket(bucket))
+                completed.extend(self._run_bucket(bucket, "flush"))
         except BaseException:
             self._completed_backlog.extend(completed)
             raise
@@ -324,14 +397,16 @@ class InferenceEngine:
         for bucket in sorted(self._buckets):
             pending.extend(record for record, _, _ in self._buckets[bucket])
         self._buckets.clear()
+        self._born.clear()
         self._pending = 0
         return pending
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_bucket(self, bucket: int) -> list[FlowPrediction]:
+    def _run_bucket(self, bucket: int, trigger: str) -> list[FlowPrediction]:
         queue = self._buckets.pop(bucket, [])
+        born = self._born.pop(bucket, None)
         if not queue:
             return []
         records = [record for record, _, _ in queue]
@@ -367,9 +442,10 @@ class InferenceEngine:
             # supervisor can drain_pending() and replay these records on a
             # rebuilt engine — nothing was cached, observed, or returned.
             self._buckets[bucket] = queue
+            self._born[bucket] = born
             raise
         self._pending -= len(queue)
-        self.report.observe_batch(len(records))
+        self.report.observe_batch(len(records), trigger)
         done = self.report.mark_submit()
         predictions = []
         for j, ((record, submitted, trace_submit), row) in enumerate(
@@ -423,10 +499,16 @@ def serve_stream(
     The stages run in the calling thread, in one loop: chunks stream from
     the source, the assembler closes flows (by timeout mid-stream, and the
     remainder at end of stream), and the engine micro-batches the closed
-    flows through the model, in order.  The loop uses nothing but
-    ``iter(source)``, ``assembler.push``/``flush`` and
-    ``engine.submit``/``flush``, so any object with that interface (a
-    delegating timing wrapper, say) serves unchanged.
+    flows through the model, in order.  After each chunk's flows are
+    submitted, and before the next read, the loop advances the engine's
+    stream clock to the chunk's time (:func:`~repro.serve.stream.chunk_clock`),
+    which runs the buckets past the engine's max-wait deadline.  The loop
+    uses nothing but ``iter(source)``, ``assembler.push``/``flush``,
+    ``engine.submit``/``flush`` and — when the engine has it —
+    ``engine.advance_clock``, so any object with that interface (a
+    delegating timing wrapper, say) serves unchanged; an engine without
+    ``advance_clock`` runs buckets only when full, under backpressure or at
+    the end of the stream.
 
     Resilience (see :mod:`repro.serve.resilience`): ``policy`` selects the
     per-stage error policy (``"fail_fast"`` — the default — ``"quarantine"``
@@ -456,10 +538,15 @@ def serve_stream(
             max_restarts=max_restarts, restart_backoff=restart_backoff,
         )
         source, assembler, engine = armed.source, armed.assembler, armed.engine
+    advance_clock = getattr(engine, "advance_clock", None)
     try:
         for chunk in source:
             for record in assembler.push(chunk):
                 yield from engine.submit(record)
+            if advance_clock is not None:
+                clock = chunk_clock(chunk)
+                if clock is not None:
+                    yield from advance_clock(clock)
         for record in assembler.flush():
             yield from engine.submit(record)
         yield from engine.flush()

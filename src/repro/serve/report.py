@@ -37,6 +37,10 @@ __all__ = ["ServingReport"]
 #: Resilience counters every report carries (see :meth:`ServingReport.count`).
 _COUNTERS = ("errors", "retries", "quarantined", "degraded", "restarts")
 
+#: Why a micro-batch ran: its bucket filled, its oldest flow hit the
+#: max-wait deadline, backpressure picked it, or the stream ended.
+_TRIGGERS = ("full", "deadline", "backpressure", "flush")
+
 #: Latency histogram layout: 100 ns to 1000 s at 8 bins/octave (~270 buckets).
 _LATENCY_LAYOUT = (1e-7, 1e3)
 #: Batch-size histogram layout: 1 to 65536 at 8 bins/octave (130 buckets).
@@ -55,6 +59,11 @@ class ServingReport:
         self._cached = self.metrics.counter("serve.cached")
         for name in _COUNTERS:
             self.metrics.counter(f"serve.resilience.{name}")
+        self._triggers = {
+            name: self.metrics.counter(f"serve.batches.{name}")
+            for name in _TRIGGERS
+        }
+        self._oldest_pending = self.metrics.gauge("serve.oldest_pending_s")
         #: Build dtype of the serving model (stamped by the engine at
         #: construction; ``None`` until a report belongs to an engine).
         self.model_dtype: str | None = None
@@ -89,6 +98,12 @@ class ServingReport:
         return int(self._batch.count)
 
     @property
+    def batches_by_trigger(self) -> dict[str, int]:
+        """Micro-batches run, by what triggered them: ``full``,
+        ``deadline``, ``backpressure`` or ``flush``."""
+        return {name: int(c.value) for name, c in self._triggers.items()}
+
+    @property
     def counters(self) -> dict[str, int]:
         """The resilience counters as a plain dict (a snapshot, not a view)."""
         return {
@@ -115,9 +130,16 @@ class ServingReport:
             self._cached.inc()
         self._last_completion = time.perf_counter()
 
-    def observe_batch(self, size: int) -> None:
-        """Record one model forward of ``size`` stacked flows."""
+    def observe_batch(self, size: int, trigger: str = "full") -> None:
+        """Record one model forward of ``size`` stacked flows, run because
+        of ``trigger`` (see :attr:`batches_by_trigger`)."""
         self._batch.observe(size)
+        self._triggers[trigger].inc()
+
+    def observe_oldest_pending(self, age: float) -> None:
+        """Record the oldest pending flow's age, in stream-seconds, at one
+        advance of the engine's stream clock."""
+        self._oldest_pending.set(age)
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump one resilience counter (``errors``, ``retries``,
@@ -172,6 +194,9 @@ class ServingReport:
 
         ``cache`` is the engine's :class:`~repro.serve.engine.PredictionCache`
         (or ``None``); its hit counters become ``cache_hit_rate``.
+        ``batches_by_trigger`` splits ``batches`` by trigger, and
+        ``oldest_pending_s`` is the largest oldest-pending-flow age recorded
+        at any stream-clock advance (``None`` when the clock never moved).
         """
         wall = self.wall_time
         flows = self.flows
@@ -191,6 +216,11 @@ class ServingReport:
             "p99_ms": percentile(99),
             "batches": self.batches,
             "mean_batch": self._batch.mean,
+            "batches_by_trigger": self.batches_by_trigger,
+            "oldest_pending_s": (
+                self._oldest_pending.max if self._oldest_pending.samples
+                else None
+            ),
             "cache_hit_rate": cache.hit_rate if cache is not None else None,
             "model_dtype": self.model_dtype,
             "numeric_policy": self.numeric_policy,

@@ -22,7 +22,8 @@ The serving stack's failure model, layered over the unchanged fast path:
   in step with the sync path.
 
 * **Supervision** — the :class:`WorkerSupervisor` wraps an
-  :class:`~repro.serve.engine.InferenceEngine`; a crashed forward leaves the
+  :class:`~repro.serve.engine.InferenceEngine`; a forward that crashes in
+  ``submit``, ``advance_clock`` (a deadline run) or ``flush`` leaves the
   engine's bucket state intact (see ``InferenceEngine._run_bucket``), so the
   supervisor drains the in-flight records, rebuilds the engine with bounded
   retries + exponential backoff, and replays them — the recovered run is
@@ -56,6 +57,7 @@ import numpy as np
 from .assembler import FlowRecord
 from .engine import FlowPrediction
 from .faults import wrap_classifier, wrap_source
+from .stream import SourceFailure, chunk_clock
 
 __all__ = [
     "POLICIES",
@@ -195,20 +197,6 @@ class LogitGuard:
         return "degrade"
 
 
-class SourceFailure:
-    """A failed source read, delivered in-band to :meth:`AssemblyGuard.push`.
-
-    Under a non-``fail_fast`` policy the armed source yields one of these in
-    place of the chunk it could not read, so the serving loop stays one
-    loop and the guard numbers every read, failed or not.
-    """
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException):
-        self.error = error
-
-
 def _failures_as_markers(source):
     """Yield ``source``'s chunks, and a :class:`SourceFailure` per failed read."""
     stream = iter(source)
@@ -260,7 +248,7 @@ class AssemblyGuard:
             return self.source_failure(chunk.error, index)
         if len(chunk) == 0:
             return []
-        clock = float(np.nanmax(chunk.timestamps))
+        clock = chunk_clock(chunk)
         chunk = self._strip_poisoned(chunk)
         spec = (
             self.fault_plan.take("assembly")
@@ -277,7 +265,8 @@ class AssemblyGuard:
             closed = (
                 list(self.assembler.push(chunk)) if len(chunk) else []
             )
-            closed.extend(self.assembler.advance_clock(clock))
+            if clock is not None:
+                closed.extend(self.assembler.advance_clock(clock))
             return closed
         except Exception as error:
             if self.policy == "fail_fast":
@@ -289,14 +278,16 @@ class AssemblyGuard:
 
         When the error carries the chunk that was lost
         (:class:`~repro.serve.faults.SourceFaultError` does), its flows are
-        poisoned and its packets accounted; an opaque failure just counts an
-        error — there is nothing to conserve for data that never arrived.
+        poisoned and its packets accounted, and the stream clock advances to
+        its time (:func:`~repro.serve.stream.chunk_clock` — the same clock
+        the engine's deadline ages pending flows by); an opaque failure just
+        counts an error — there is nothing to conserve for data that never
+        arrived.
         """
         chunk = getattr(error, "chunk", None)
-        clock = None
-        if chunk is not None and len(chunk):
-            clock = float(np.nanmax(chunk.timestamps))
-        return self.quarantine(chunk, "source", chunk_index, error, clock)
+        return self.quarantine(
+            chunk, "source", chunk_index, error, chunk_clock(chunk)
+        )
 
     def flush(self) -> list[FlowRecord]:
         return self.assembler.flush()
@@ -332,7 +323,7 @@ class AssemblyGuard:
                 self.poisoned[key] = entry
                 self.dead_letters.append(entry)
                 self.report.count("quarantined")
-        if clock is not None and not np.isnan(clock):
+        if clock is not None:
             return list(self.assembler.advance_clock(clock))
         return []
 
@@ -411,7 +402,26 @@ class WorkerSupervisor:
         except PoisonedLogitsError:
             raise
         except Exception as error:
-            return self._recover(error, flushing=False)
+            return self._recover(error)
+
+    def advance_clock(self, t: float) -> list[FlowPrediction]:
+        """The engine's deadline run, recovered like :meth:`submit`.
+
+        A bucket the deadline runs may crash like any other: its records
+        are drained and replayed on a clone, which keeps the stream clock.
+        The replayed records arrive at that clock, so a restart can delay
+        them by up to one more ``max_wait``; their logits are unchanged.
+        """
+        if self.condemned:
+            return []
+        try:
+            return self.engine.advance_clock(t)
+        except PoisonedLogitsError:
+            raise
+        except Exception as error:
+            return self._recover(
+                error, then=lambda engine: engine.advance_clock(t)
+            )
 
     def flush(self) -> list[FlowPrediction]:
         if self.condemned:
@@ -421,12 +431,14 @@ class WorkerSupervisor:
         except PoisonedLogitsError:
             raise
         except Exception as error:
-            return self._recover(error, flushing=True)
+            return self._recover(error, then=lambda engine: engine.flush())
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(self, error, flushing: bool) -> list[FlowPrediction]:
+    def _recover(self, error, then=None) -> list[FlowPrediction]:
+        """Restart and replay; ``then(engine)`` finishes the crashed call
+        (a flush or clock advance) on the rebuilt engine."""
         completed: list[FlowPrediction] = []
         pending: list[FlowRecord] = []
         while True:
@@ -472,8 +484,8 @@ class WorkerSupervisor:
                             restart=self.restarts,
                         )
                     completed.extend(self.engine.submit(record))
-                if flushing:
-                    completed.extend(self.engine.flush())
+                if then is not None:
+                    completed.extend(then(self.engine))
                 return completed
             except PoisonedLogitsError:
                 raise

@@ -22,6 +22,10 @@ Three sources cover the deployment shapes the paper cares about:
 All three share optional timestamp pacing: ``pace=1.0`` replays at capture
 speed (sleeping between chunks), ``pace=10.0`` at 10x, ``pace=None`` (the
 default) as fast as the consumer can drain.
+
+Every read also carries the *stream clock*: :func:`chunk_clock` is the
+capture time a read reaches, the one time base the assembler's idle
+eviction and the engine's max-wait deadline both run on.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from ..net.pcap import read_pcap_columns
 
 __all__ = [
     "chunk_columns",
+    "chunk_clock",
+    "SourceFailure",
     "burst_chunks",
     "interleave_columns",
     "PacketSource",
@@ -59,6 +65,38 @@ def chunk_columns(
         raise ValueError("chunk_rows must be positive")
     for start in range(0, len(columns), chunk_rows):
         yield columns[start : start + chunk_rows]
+
+
+class SourceFailure:
+    """A failed source read, delivered in-band in place of its chunk.
+
+    Under a non-``fail_fast`` resilience policy the armed source yields one
+    of these instead of raising, so the serving loop stays one loop and
+    :class:`~repro.serve.resilience.AssemblyGuard` numbers every read,
+    failed or not.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: BaseException):
+        self.error = error
+
+
+def chunk_clock(read) -> "float | None":
+    """The stream time a source read reaches: its largest capture timestamp.
+
+    ``read`` is a chunk or a :class:`SourceFailure`.  A failed read reaches
+    the time of the chunk it lost when the error carries that chunk
+    (:class:`~repro.serve.faults.SourceFaultError` does), so pending work
+    still ages across a failure.  An empty chunk, an opaque failure or a
+    chunk without a single timestamp reaches no time: ``None``.
+    """
+    if isinstance(read, SourceFailure):
+        read = getattr(read.error, "chunk", None)
+    if read is None or len(read) == 0:
+        return None
+    clock = float(np.nanmax(read.timestamps))
+    return None if np.isnan(clock) else clock
 
 
 def burst_chunks(

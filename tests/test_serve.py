@@ -9,10 +9,14 @@ row bit-identically — for any chunk size — and the micro-batched
 solver path's predictions.  Timeout splitting must match
 ``FlowTable(idle_timeout=...)`` (the rule is shared through
 :func:`repro.net.flow_columns.is_idle_split`), and the prediction cache must
-return logits identical to the forward pass a hit replaces.
+return logits identical to the forward pass a hit replaces.  The engine's
+max-wait deadline must serve a flow of a rare length before the stream
+ends, however much other traffic keeps its own buckets full.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
 from repro.net import FlowTable, PacketColumns, build_packet, write_pcap
 from repro.serve import (
     ColumnsSource,
+    FlowRecord,
     InferenceEngine,
     PcapReplaySource,
     PredictionCache,
@@ -442,6 +447,136 @@ class TestInferenceEngine:
         assert len(cache) == 2
         assert cache.get(b"a") is None  # evicted, counted as a miss
         assert cache.get(b"c") is not None
+
+
+def length_record(key, length, t, vocab_size):
+    """A closed flow of exactly ``length`` tokens, closed at stream time ``t``."""
+    ids = np.zeros(MAX_TOKENS, dtype=np.int64)
+    ids[:length] = 5 + np.arange(length) % (vocab_size - 5)
+    mask = np.zeros(MAX_TOKENS, dtype=bool)
+    mask[:length] = True
+    return FlowRecord(
+        key=key, generation=0, token_ids=ids, attention_mask=mask,
+        label=None, packet_count=1, start_time=t, end_time=t, closed_by="idle",
+    )
+
+
+class _Tick:
+    """A source read that carries only a capture time and the flows it
+    closes — all the serving loop needs of a chunk to drive the engine."""
+
+    def __init__(self, t, records):
+        self.timestamps = np.array([t])
+        self.records = records
+
+    def __len__(self):
+        return 1
+
+
+class _ScriptedAssembler:
+    """Closes each tick's scripted flows; notes when the stream ends."""
+
+    def __init__(self):
+        self.flushed = False
+
+    def push(self, tick):
+        return tick.records
+
+    def flush(self):
+        self.flushed = True
+        return []
+
+
+class TestMaxWaitDeadline:
+    """The engine's stream-clock deadline bounds how long any flow waits."""
+
+    @pytest.mark.parametrize("max_wait", [None, math.inf])
+    def test_rare_length_flow_is_not_starved(self, classifier, max_wait):
+        # One 5-token flow closes at t=3; flows of lengths 10 and 11 keep
+        # filling their buckets and running, so the 5-token bucket never
+        # fills and backpressure never picks it.  The default deadline
+        # serves it within max_wait stream-seconds of its close, before the
+        # stream ends; without a deadline it waits for flush().
+        vocab_size = classifier.model.config.vocab_size
+        ticks, now = [], [0.0]
+        for step in range(60):
+            t = 0.5 * step
+            records = [
+                length_record(("bulk", step, i), 10 + i % 2, t, vocab_size)
+                for i in range(16)
+            ]
+            if t == 3.0:
+                records.insert(8, length_record("rare", 5, t, vocab_size))
+            ticks.append(_Tick(t, records))
+
+        def source():
+            for tick in ticks:
+                now[0] = float(tick.timestamps[0])
+                yield tick
+
+        assembler = _ScriptedAssembler()
+        engine = InferenceEngine(
+            classifier, batch_size=64,
+            **({} if max_wait is None else {"max_wait": max_wait}),
+        )
+        served = {}
+        for prediction in serve_stream(source(), assembler, engine):
+            served[prediction.record.key] = (now[0], assembler.flushed)
+        assert len(served) == 60 * 16 + 1
+        emitted_at, after_flush = served["rare"]
+        summary = engine.summary()
+        if max_wait is None:
+            assert not after_flush
+            assert 3.0 <= emitted_at <= 3.0 + engine.max_wait
+            assert summary["batches_by_trigger"]["deadline"] >= 1
+            assert summary["oldest_pending_s"] < engine.max_wait
+        else:
+            assert after_flush
+            assert summary["batches_by_trigger"]["deadline"] == 0
+            assert summary["oldest_pending_s"] > 20.0
+        assert summary["batches"] == sum(summary["batches_by_trigger"].values())
+
+    def test_deadline_runs_oldest_bucket_first(self, classifier):
+        # A bucket is born at the engine clock its first flow arrives at.
+        vocab_size = classifier.model.config.vocab_size
+        engine = InferenceEngine(classifier, batch_size=8, max_wait=2.0)
+        engine.submit(length_record("a", 7, 0.0, vocab_size))
+        assert engine.advance_clock(0.0) == []
+        assert engine.advance_clock(1.0) == []
+        engine.submit(length_record("b", 9, 1.0, vocab_size))  # born 1.0
+        assert engine.advance_clock(1.5) == []
+        engine.submit(length_record("c", 6, 1.5, vocab_size))  # born 1.5
+        assert [p.record.key for p in engine.advance_clock(2.5)] == ["a"]
+        assert engine.advance_clock(2.0) == []  # the clock never moves back
+        assert engine.clock == 2.5
+        engine.submit(length_record("d", 7, 2.5, vocab_size))  # born 2.5
+        # Oldest first, not shortest first: bucket 9 before bucket 6.
+        assert [p.record.key for p in engine.advance_clock(4.0)] == ["b", "c"]
+        assert engine.pending == 1
+        assert engine.report.batches_by_trigger["deadline"] == 3
+        assert engine.summary()["oldest_pending_s"] == pytest.approx(1.5)
+
+    def test_zero_max_wait_serves_everything_at_each_advance(self, classifier):
+        vocab_size = classifier.model.config.vocab_size
+        engine = InferenceEngine(classifier, batch_size=8, max_wait=0.0)
+        for i, length in enumerate((4, 5, 5)):
+            engine.submit(length_record(i, length, 0.0, vocab_size))
+        assert len(engine.advance_clock(0.0)) == 3
+        assert engine.pending == 0
+        assert engine.summary()["oldest_pending_s"] == 0.0
+
+    @pytest.mark.parametrize("max_wait", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_max_wait(self, classifier, max_wait):
+        with pytest.raises(ValueError, match="max_wait"):
+            InferenceEngine(classifier, max_wait=max_wait)
+
+    def test_clone_keeps_deadline_and_clock(self, classifier):
+        engine = InferenceEngine(classifier, max_wait=1.5)
+        engine.advance_clock(7.0)
+        fresh = engine.clone()
+        assert fresh.max_wait == 1.5
+        assert fresh.clock == 7.0
+        assert fresh.pending == 0
 
 
 class TestSources:

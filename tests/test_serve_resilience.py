@@ -37,6 +37,7 @@ from repro.serve import (
     PredictionCache,
     SourceFaultError,
     StreamingFlowAssembler,
+    chunk_clock,
     chunk_columns,
     load_checkpoint,
     save_checkpoint,
@@ -315,6 +316,19 @@ class TestChaosMatrix:
         assert plan.fired
         check_conservation(scenario, predictions, dlq, chunk_rows=4)
 
+    def test_failed_read_advances_the_engine_clock(self, scenario):
+        # The last read fails, but its lost chunk is known: the engine's
+        # clock still reaches that chunk's time, so pending flows keep
+        # ageing across the failure.
+        chunks = list(chunk_columns(scenario["columns"], CHUNK_ROWS))
+        plan = FaultPlan((FaultSpec("source", len(chunks) - 1, "raise"),))
+        _, engine = run_resilient(
+            scenario, policy="quarantine", fault_plan=plan,
+        )
+        assert plan.fired
+        assert engine.clock == chunk_clock(chunks[-1])
+        assert engine.clock > chunk_clock(chunks[-2])
+
     @pytest.mark.parametrize("scenario", ["dns"], indirect=True)
     def test_chunk_index_counts_failed_reads(self, scenario):
         # Read 2 fails at the source, so the sixth assembled chunk (assembly
@@ -407,6 +421,61 @@ class TestWorkerSupervision:
         assert plan.fired
         assert len(dlq) == 0
         assert engine.report.summary()["resilience"]["restarts"] >= 1
+
+    def test_deadline_crash_recovery_is_bit_identical(self, scenario):
+        # With max_wait=0 every bucket runs at its chunk's clock advance, so
+        # the first forward crashes inside advance_clock: the supervisor
+        # drains, rebuilds (keeping the clock) and replays, and the run
+        # still serves the fault-free multiset to the last bit.
+        plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
+        dlq = DeadLetterQueue()
+        predictions, engine = run_resilient(
+            scenario, idle_timeout=0.2, engine=make_engine(scenario, max_wait=0.0),
+            policy="quarantine", fault_plan=plan, dead_letters=dlq,
+            max_restarts=2, restart_backoff=0.0,
+        )
+        reference = sorted(
+            prediction_key(p)
+            for p in sync_predictions(scenario, idle_timeout=0.2)
+        )
+        assert sorted(prediction_key(p) for p in predictions) == reference
+        assert plan.fired
+        assert len(dlq) == 0
+        summary = engine.summary()
+        assert summary["resilience"]["restarts"] == 1
+        assert summary["batches_by_trigger"]["deadline"] >= 1
+
+    def test_supervised_advance_clock_replays_the_crashed_bucket(self, scenario):
+        from repro.serve import WorkerSupervisor
+
+        # Nothing runs before the clock advance: buckets hold every record.
+        options = dict(cache=None, max_wait=0.0, batch_size=1024,
+                       max_pending=1024)
+        records = stream_records(scenario)
+        reference = make_engine(scenario, **options)
+        for record in records:
+            reference.submit(record)
+        expected = {
+            (str(p.record.key), p.record.generation): p.logits.tobytes()
+            for p in reference.advance_clock(1.0)
+        }
+        engine = make_engine(scenario, **options)
+        supervisor = WorkerSupervisor(
+            engine, lambda old: old.clone(), "fail_fast",
+            DeadLetterQueue(), engine.report, max_restarts=1,
+            sleep=lambda _: None,
+        )
+        for record in records:
+            assert supervisor.submit(record) == []
+        engine.classifier = _FlakyOnce(engine.classifier)
+        served = supervisor.advance_clock(1.0)
+        assert supervisor.engine is not engine
+        assert supervisor.engine.clock == 1.0
+        assert supervisor.engine.pending == 0
+        assert {
+            (str(p.record.key), p.record.generation): p.logits.tobytes()
+            for p in served
+        } == expected
 
     def test_exhausted_restarts_condemn_the_worker(self, scenario):
         # Two crashes against a budget of one: the worker is condemned and

@@ -13,16 +13,26 @@ sizes × idle timeouts, plus seeded out-of-order/burst arrival cases.  The
 assembler is also checked on its own: per-row flow keys, open-flow
 accounting and active-timeout closure must not depend on the chunking.
 
+The engine's max-wait deadline is swept as a property: over random chunk
+splits, deadlines and micro-batch sizes, it may change only *when* a flow
+is served — float64 rows and logits stay bit-identical, float32 logits stay
+inside the ``logits`` ulp budget with the same argmax.
+
 The interface half pins what the driver needs: with resilience off,
 ``serve_stream`` touches only ``push``/``flush`` on the assembler and
-``submit``/``flush`` on the engine, and with it on, the caller's engine gets
-its classifier and output guard back however the run ends.
+``submit``/``flush`` on the engine (plus ``advance_clock`` when the engine
+has it), and with it on, the caller's engine gets its classifier and output
+guard back however the run ends.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.context import FlowContextBuilder
 from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
@@ -270,6 +280,88 @@ class TestDifferentialScenarioSweep:
             sorted(prediction_key(p) for p in cacheless)
             == sorted(prediction_key(p) for p in cached)
         )
+
+
+def exact_length_logits(classifier, records):
+    """The offline reference forward: each row trimmed to its own length,
+    rows of one length in one batch, no mask — what the engine computes,
+    with none of its scheduling."""
+    by_length: dict[int, list] = {}
+    for record in records:
+        by_length.setdefault(len(record), []).append(record)
+    logits = {}
+    for width, group in by_length.items():
+        ids = np.stack([r.token_ids[:width] for r in group])
+        rows = classifier.predict_logits(ids, None, batch_size=len(ids))
+        for record, row in zip(group, rows):
+            logits[(str(record.key), record.generation)] = row
+    return logits
+
+
+def gap_rows(keys):
+    """:func:`prediction_key` tuples without the logits, an eviction counted
+    as an idle close (whether an idle gap is seen at a chunk boundary or
+    inside one depends on the chunking)."""
+    return sorted(
+        k[:-2] + ("idle" if k[-2] == "evict" else k[-2],) for k in keys
+    )
+
+
+def random_chunks(columns, cuts):
+    """``columns`` split at the sorted, de-duplicated row indices ``cuts``."""
+    bounds = [0, *sorted(set(cuts)), len(columns)]
+    return [columns[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestMaxWaitDeadline:
+    """The deadline moves only *when* a flow is served, never what."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        max_wait=st.sampled_from([0.0, 5.0, math.inf]),
+        batch_size=st.sampled_from([1, 4, 32]),
+    )
+    def test_deadline_keeps_rows_and_logits(
+        self, scenario, data, max_wait, batch_size
+    ):
+        # An idle timeout closes flows mid-stream, so the deadline has
+        # pending buckets to run at every chunk's clock advance.  Rows are
+        # checked against the whole-capture run, logits against the
+        # exact-length offline forward of each row.
+        columns = scenario["columns"]
+        cuts = data.draw(st.lists(
+            st.integers(1, max(1, len(columns) - 1)), max_size=40,
+        ))
+        chunks = random_chunks(columns, cuts)
+
+        classifier = scenario["classifier"]
+        served = {}
+        for build in (classifier, classifier.serving_build("float32")):
+            engine = make_engine(
+                scenario, build, batch_size=batch_size,
+                max_pending=max(256, batch_size), max_wait=max_wait,
+            )
+            served[build.model_dtype] = run_serve(
+                scenario, chunks, idle_timeout=0.2, engine=engine,
+            )
+        p64, p32 = served["float64"], served["float32"]
+        whole = gap_rows(sync_reference(scenario, len(columns), 0.2))
+        assert gap_rows(map(prediction_key, p64)) == whole
+        assert gap_rows(map(prediction_key, p32)) == whole
+        reference = exact_length_logits(classifier, [p.record for p in p64])
+        for p in p64:
+            ident = (str(p.record.key), p.record.generation)
+            assert p.logits.tobytes() == reference[ident].tobytes()
+        budget = ulp_budget("logits")
+        for p in p32:
+            expected = reference[(str(p.record.key), p.record.generation)]
+            assert p.logits.dtype == np.float32
+            assert p.class_id == int(np.argmax(expected))
+            assert_within_ulp(
+                p.logits, expected, budget,
+                f"{scenario['name']} f32 logits for flow {p.record.key}",
+            )
 
 
 def record_key(r):
