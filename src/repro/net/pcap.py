@@ -418,6 +418,14 @@ class LazyDecodeColumns(PacketColumns):
         return merged._attach_lazy(branch, cache)
 
 
+def check_errors_mode(errors: str) -> None:
+    """Reject an ``errors`` mode :func:`read_pcap_columns` does not know."""
+    if errors not in ("strict", "quarantine"):
+        raise ValueError(
+            f"errors must be 'strict' or 'quarantine', got {errors!r}"
+        )
+
+
 def read_pcap_columns(
     path: str | Path,
     decode_cache: dict | None = None,
@@ -467,10 +475,7 @@ def read_pcap_columns(
     offset.  The returned columns are bit-identical to a strict read of the
     clean prefix with the bad records excised.
     """
-    if errors not in ("strict", "quarantine"):
-        raise ValueError(
-            f"errors must be 'strict' or 'quarantine', got {errors!r}"
-        )
+    check_errors_mode(errors)
     tolerant = errors == "quarantine"
     error_records: list[PcapReadError] = []
     path = Path(path)

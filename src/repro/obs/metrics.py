@@ -10,12 +10,12 @@ have:
   O(observations).  The :class:`Histogram` here is a fixed-bucket log-scale
   histogram — a few hundred int64 bucket counts plus exact count/sum/min/max
   — so a million observations costs the same memory as ten.
-* **Exact mergeability.**  Independently accounted registries (an engine
-  and the engines a supervisor restarted in its place) are folded at the
-  end.  Counter merges are sums, histogram merges are bucket-wise sums (same
-  fixed bucket layout everywhere), gauge merges combine min/max — all
-  commutative and associative, so any merge order over any number of
-  registries yields the identical registry.
+* **Exact mergeability.**  Independently accounted registries (the
+  reports of several engines, say) are folded at the end.  Counter merges
+  are sums, histogram merges are bucket-wise sums (same fixed bucket
+  layout everywhere), gauge merges combine min/max — all commutative and
+  associative, so any merge order over any number of registries yields the
+  identical registry.
 * **JSON export.**  Every metric snapshots to a plain-JSON dict
   (:meth:`MetricsRegistry.to_dict` / :meth:`MetricsRegistry.to_json`), the
   machine surface ``BENCH_e14.json`` and the trace tooling consume.
@@ -278,8 +278,8 @@ class MetricsRegistry:
     instrumented layers can share one registry without coordination.
     :meth:`merge` folds another registry in — metrics present in both merge
     exactly; metrics only the other side has are copied in — which is what
-    the serving loop does with the reports of engines a worker supervisor
-    restarted.
+    :meth:`repro.serve.report.ServingReport.merge` does with another
+    engine's report.
     """
 
     def __init__(self):

@@ -23,8 +23,9 @@ stage                 kind    recorded by
 ``cache_hit``         event   the engine on a prediction-cache hit
 ``dead_letter``       event   :class:`~repro.serve.resilience.DeadLetterQueue`
                               with full drop provenance
-``retry`` /           event   :class:`~repro.serve.resilience.WorkerSupervisor`
-``worker_restart``            during crash recovery
+``worker_restart``    event   :class:`~repro.serve.resilience.SupervisedForward`
+                              when it retries a crashed forward
+                              (``error``/``rows`` attrs)
 ====================  ======  ==============================================
 
 Two invariants make tracing safe to leave wired into the serving stack:
@@ -80,7 +81,6 @@ STAGE_ORDER = (
     "emitted",
     "cache_hit",
     "dead_letter",
-    "retry",
     "worker_restart",
 )
 

@@ -30,9 +30,9 @@ substrate into an *online* engine, the system shape the paper's
   harness drives;
 * :mod:`repro.serve.resilience` — per-stage error policies
   (``fail_fast``/``quarantine``/``degrade``), the :class:`DeadLetterQueue`
-  with full drop provenance, the :class:`WorkerSupervisor` (bounded
-  restarts, backoff, in-flight replay), and assembler checkpoint/restore
-  helpers.
+  with full drop provenance, :class:`SupervisedForward` (a crashed
+  forward retried in place, with bounded restarts and backoff), and
+  assembler checkpoint/restore helpers.
 
 ``serve_stream(source, assembler, engine)`` wires the three stages into a
 single generator of :class:`FlowPrediction` objects, in one loop in the
@@ -63,7 +63,7 @@ from .resilience import (
     DeadLetterQueue,
     LogitGuard,
     PoisonedLogitsError,
-    WorkerSupervisor,
+    SupervisedForward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -112,7 +112,7 @@ __all__ = [
     "PoisonedLogitsError",
     "DeadLetter",
     "DeadLetterQueue",
-    "WorkerSupervisor",
+    "SupervisedForward",
     "save_checkpoint",
     "load_checkpoint",
 ]

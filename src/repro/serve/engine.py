@@ -221,29 +221,6 @@ class InferenceEngine:
         self.report.model_dtype = self.model_dtype
         self.report.numeric_policy = _numeric_policy(self.model_dtype)
 
-    def clone(self) -> "InferenceEngine":
-        """A fresh engine with this one's configuration and empty state.
-
-        The worker supervisor restarts a crashed engine this way: same
-        classifier, batch size, backpressure bound, deadline and stream
-        clock, but an independent bucket map, report, and — when the
-        original carried a cache — an empty :class:`PredictionCache` of the
-        same capacity.
-        """
-        fresh = InferenceEngine(
-            self.classifier,
-            batch_size=self.batch_size,
-            max_pending=self.max_pending,
-            cache=(
-                None if self.cache is None
-                else PredictionCache(max_entries=self.cache.max_entries)
-            ),
-            tracer=self.tracer,
-            max_wait=self.max_wait,
-        )
-        fresh._clock = self._clock
-        return fresh
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -321,8 +298,8 @@ class InferenceEngine:
                 completed.extend(self._run_bucket(fullest, "backpressure"))
         except BaseException:
             # Earlier buckets in this call already emitted (observed, cached)
-            # but their predictions were never returned; park them so the
-            # supervisor's recovery can still deliver each exactly once.
+            # but their predictions were never returned; park them so a
+            # caller that recovers can still deliver each exactly once.
             self._completed_backlog.extend(completed)
             raise
         return completed
@@ -374,32 +351,16 @@ class InferenceEngine:
     def drain_completed(self) -> list[FlowPrediction]:
         """Predictions completed inside a call that then raised.
 
-        A multi-bucket ``submit``/``flush`` may crash after some buckets
-        already ran; those buckets' predictions were observed and cached but
-        never returned to the caller.  They are parked here — the worker
-        supervisor collects them during recovery so every record is still
-        served exactly once.
+        A multi-bucket ``submit``/``advance_clock``/``flush`` may crash after
+        some buckets already ran; those buckets' predictions were observed
+        and cached but never returned to the caller.  They are parked here,
+        and the crashed bucket stays pending, so a direct caller that
+        catches the crash and collects them here before calling again still
+        serves every record exactly once.
         """
         backlog = self._completed_backlog
         self._completed_backlog = []
         return backlog
-
-    def drain_pending(self) -> list[FlowRecord]:
-        """Remove and return every pending record without running the model.
-
-        The worker supervisor's replay path: after a forward crash the
-        bucket state is intact (see :meth:`_run_bucket`), so draining yields
-        exactly the in-flight records, which a fresh engine can re-submit —
-        no record lost, none served twice.  Deterministic order (bucket
-        width, then submission order within the bucket).
-        """
-        pending: list[FlowRecord] = []
-        for bucket in sorted(self._buckets):
-            pending.extend(record for record, _, _ in self._buckets[bucket])
-        self._buckets.clear()
-        self._born.clear()
-        self._pending = 0
-        return pending
 
     # ------------------------------------------------------------------
     # Internals
@@ -429,7 +390,7 @@ class InferenceEngine:
             t_done = tracer.clock() if tracer is not None else 0.0
             # Poisoned-output scan happens before any row is cached or
             # emitted, so a fail_fast guard raise leaves the whole batch
-            # replayable exactly like a forward crash.
+            # pending exactly like a forward crash.
             actions: dict[int, str] = {}
             if self.output_guard is not None:
                 finite = np.isfinite(logits).all(axis=1)
@@ -439,8 +400,8 @@ class InferenceEngine:
                     )
         except BaseException:
             # Crash before any emission: restore the bucket untouched so a
-            # supervisor can drain_pending() and replay these records on a
-            # rebuilt engine — nothing was cached, observed, or returned.
+            # later call runs these records again — nothing was cached,
+            # observed, or returned.
             self._buckets[bucket] = queue
             self._born[bucket] = born
             raise
@@ -515,13 +476,14 @@ def serve_stream(
     or ``"degrade"``), ``fault_plan`` arms a seeded
     :class:`~repro.serve.faults.FaultPlan`, ``dead_letters`` supplies a
     :class:`~repro.serve.resilience.DeadLetterQueue` to collect drop
-    provenance, and ``max_restarts``/``restart_backoff`` configure the
-    worker supervisor.  When any of them is non-default, an
-    :class:`~repro.serve.resilience.ArmedRun` substitutes guarded stand-ins
-    for the three stages and the same loop runs over them; the caller's
-    engine gets its classifier and output guard back on every exit,
-    including the consumer closing this generator early.  With every knob
-    at its default nothing is wrapped.
+    provenance, and ``max_restarts``/``restart_backoff`` bound how often a
+    crashed forward is retried in place.  When any of them is non-default,
+    an :class:`~repro.serve.resilience.ArmedRun` substitutes guarded
+    stand-ins for the source and the assembler, arms the caller's engine
+    with a retrying forward and an output guard, and the same loop runs
+    over them; the engine gets its classifier and output guard back on
+    every exit, including the consumer closing this generator early.  With
+    every knob at its default nothing is wrapped.
     """
     armed = None
     if (
@@ -550,8 +512,6 @@ def serve_stream(
         for record in assembler.flush():
             yield from engine.submit(record)
         yield from engine.flush()
-        if armed is not None:
-            armed.fold_reports()
     finally:
         if armed is not None:
             armed.restore()

@@ -11,8 +11,8 @@ which makes chaos runs exactly reproducible: the same plan against the same
 stream fires the same faults at the same records every time.
 
 Plans are shared-state objects (one plan is consulted by the source, the
-assembler and every engine a supervisor restarts), so the ordinal counters
-live behind a lock.
+assembler and the engine's forward, retries included), so the ordinal
+counters live behind a lock.
 """
 
 from __future__ import annotations

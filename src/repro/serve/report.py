@@ -12,9 +12,10 @@ Since the observability layer landed, the report is backed by a
 * **Bounded memory.**  Latency and batch-size series are
   fixed-bucket log-scale histograms — a million observations costs the
   same memory as ten (regression-tested in ``tests/test_obs.py``).
-* **Exact merges.**  :meth:`merge` folds the reports of engines a worker
-  supervisor restarted by bucket-wise addition — commutative and
-  associative, so any merge order yields the identical registry.
+* **Exact merges.**  :meth:`merge` folds independently accounted reports
+  (engines serving different builds, say) by bucket-wise addition —
+  commutative and associative, so any merge order yields the identical
+  registry.
 * **Same scorecard.**  :meth:`summary` keeps its key shape; counts, sums,
   means and maxima are exact, and the p50/p99 latency estimates carry at
   most one histogram-bucket width (< 9%) of relative error — well inside
@@ -153,7 +154,7 @@ class ServingReport:
             self.metrics.counter(f"serve.resilience.{name}").inc(n)
 
     def merge(self, other: "ServingReport") -> None:
-        """Fold another report (a restart-retired engine's) into this one.
+        """Fold another report (another engine's) into this one.
 
         Counter merges are sums and histogram merges are bucket-wise sums
         (every report shares the fixed layouts above), so folding N reports

@@ -21,23 +21,21 @@ The serving stack's failure model, layered over the unchanged fast path:
   advances over the lost chunk so the surviving flows' idle evictions stay
   in step with the sync path.
 
-* **Supervision** — the :class:`WorkerSupervisor` wraps an
-  :class:`~repro.serve.engine.InferenceEngine`; a forward that crashes in
-  ``submit``, ``advance_clock`` (a deadline run) or ``flush`` leaves the
-  engine's bucket state intact (see ``InferenceEngine._run_bucket``), so the
-  supervisor drains the in-flight records, rebuilds the engine with bounded
-  retries + exponential backoff, and replays them — the recovered run is
-  bit-identical to a fault-free run because the engine is record-sequence
-  deterministic and (for float64 builds) batch-invariant.  Exhausted
-  retries condemn the worker: ``fail_fast`` re-raises, ``quarantine``
-  dead-letters everything it would have served, ``degrade`` serves
-  zero-logit fallbacks.
+* **Supervision** — the :class:`SupervisedForward` classifier proxy
+  retries a crashed forward on the same batch, with bounded restarts and
+  exponential backoff, so the recovered run is bit-identical to a
+  fault-free run and serves every flow at the same point of the stream.
+  Exhausted restarts condemn the worker: ``fail_fast`` re-raises,
+  ``quarantine`` dead-letters every flow it would have forwarded,
+  ``degrade`` serves zero-logit fallbacks — both through the
+  :class:`LogitGuard`, the one drop/degrade path for model failures.
 
 * **Arming** — :class:`ArmedRun` is how
   :func:`~repro.serve.engine.serve_stream` applies all of the above: it
-  substitutes a stand-in for each stage (a source whose failed reads
-  arrive as :class:`SourceFailure` markers, an :class:`AssemblyGuard`, a
-  :class:`WorkerSupervisor`) and the driver's one loop runs over them.
+  substitutes a source whose failed reads arrive as :class:`SourceFailure`
+  markers and an :class:`AssemblyGuard`, installs the forward proxy and
+  the guard on the caller's engine, and the driver's one loop runs over
+  them.
 
 * **Checkpoint/restore** — :func:`save_checkpoint`/:func:`load_checkpoint`
   persist an assembler's open-flow state (see
@@ -55,7 +53,6 @@ import time
 import numpy as np
 
 from .assembler import FlowRecord
-from .engine import FlowPrediction
 from .faults import wrap_classifier, wrap_source
 from .stream import SourceFailure, chunk_clock
 
@@ -67,7 +64,7 @@ __all__ = [
     "DeadLetterQueue",
     "LogitGuard",
     "AssemblyGuard",
-    "WorkerSupervisor",
+    "SupervisedForward",
     "SourceFailure",
     "ArmedRun",
     "save_checkpoint",
@@ -166,25 +163,35 @@ class DeadLetterQueue:
 class LogitGuard:
     """Policy for non-finite model outputs, installed as the engine's
     ``output_guard``.  Returns the engine's per-row action, or raises under
-    ``fail_fast`` — before the batch emits anything, so the raise is
-    replay-safe."""
+    ``fail_fast`` — before the batch emits anything, so the raise leaves the
+    bucket pending like a forward crash.
 
-    def __init__(self, policy: str, dead_letters: DeadLetterQueue, report):
+    Once ``forward`` (the run's :class:`SupervisedForward`) is condemned,
+    the non-finite rows are its stand-ins for a dead model: they are
+    recorded as ``inference`` dead letters carrying the crash that
+    condemned it.
+    """
+
+    def __init__(self, policy: str, dead_letters: DeadLetterQueue, report,
+                 forward: "SupervisedForward"):
         self.policy = policy
         self.dead_letters = dead_letters
         self.report = report
+        self.forward = forward
 
     def __call__(self, record: FlowRecord, row: np.ndarray) -> str:
-        if self.policy == "fail_fast":
-            raise PoisonedLogitsError(
-                f"non-finite logits for flow {record.key!r} "
-                f"(generation {record.generation})"
-            )
-        self.report.count("errors")
+        crash = self.forward.condemned
+        if crash is None:
+            if self.policy == "fail_fast":
+                raise PoisonedLogitsError(
+                    f"non-finite logits for flow {record.key!r} "
+                    f"(generation {record.generation})"
+                )
+            self.report.count("errors")
         action = "dropped" if self.policy == "quarantine" else "degraded"
         self.dead_letters.append(DeadLetter(
-            stage="output",
-            error="non-finite logits",
+            stage="output" if crash is None else "inference",
+            error="non-finite logits" if crash is None else crash,
             action=action,
             flow_key=record.key,
             generation=record.generation,
@@ -359,197 +366,87 @@ class AssemblyGuard:
             )
 
 
-class WorkerSupervisor:
-    """Restart a crashed engine with bounded retries; replay its in-flight
-    records.
+class SupervisedForward:
+    """Classifier proxy that retries a crashed forward in place.
 
-    ``rebuild(old_engine) -> new_engine`` supplies the restart
-    (:class:`ArmedRun` clones the crashed engine).  Recovery is
-    bit-identical to a fault-free run: the engine's exception-safe bucket
-    run means a crash loses nothing and emits nothing, so drain + replay
-    serves every record exactly once, and record-sequence determinism plus
-    (for float64 builds) batch invariance make the replayed logits
-    byte-equal.
+    A ``predict_logits`` that raises is re-run on the same batch and the
+    same classifier after a backoff of ``backoff * 2**n`` (``n`` restarts so
+    far), up to ``max_restarts`` times per run.  The engine never sees a
+    recovered crash, so its buckets, stream clock and cache stay exactly as
+    in a fault-free run: recovered logits are bit-identical for every build
+    dtype, and every flow is served at the same point of the stream.
 
-    ``PoisonedLogitsError`` (the ``fail_fast`` output guard) passes through
-    untouched — it is a policy verdict, not a worker crash.
+    Exhausted restarts condemn the worker: ``fail_fast`` re-raises, and
+    under ``quarantine``/``degrade`` every later forward returns non-finite
+    rows without calling the model, which the :class:`LogitGuard` drops or
+    degrades as ``inference`` dead letters.  Cache hits never reach the
+    forward, so a condemned worker still serves them.
     """
 
-    def __init__(self, engine, rebuild, policy: str,
-                 dead_letters: DeadLetterQueue, report, *,
-                 max_restarts: int = 2, backoff: float = 0.05,
-                 backoff_factor: float = 2.0, sleep=time.sleep):
-        self.engine = engine
-        self._rebuild = rebuild
+    def __init__(self, classifier, policy: str, report, *,
+                 max_restarts: int, backoff: float, tracer=None,
+                 sleep=time.sleep):
+        self._classifier = classifier
         self.policy = policy
-        self.dead_letters = dead_letters
         self.report = report
         self.max_restarts = max_restarts
         self.backoff = backoff
-        self.backoff_factor = backoff_factor
+        self.tracer = tracer
         self.sleep = sleep
         self.restarts = 0
-        self.condemned = False
-        self._condemned_error: "str | None" = None
-        #: Reports of engines retired by restarts (folded by the caller).
-        self.retired_reports = []
+        #: ``repr`` of the crash that condemned the worker, else ``None``.
+        self.condemned: "str | None" = None
 
-    def submit(self, record: FlowRecord) -> list[FlowPrediction]:
-        if self.condemned:
-            return self._fallback([record])
-        try:
-            return self.engine.submit(record)
-        except PoisonedLogitsError:
-            raise
-        except Exception as error:
-            return self._recover(error)
-
-    def advance_clock(self, t: float) -> list[FlowPrediction]:
-        """The engine's deadline run, recovered like :meth:`submit`.
-
-        A bucket the deadline runs may crash like any other: its records
-        are drained and replayed on a clone, which keeps the stream clock.
-        The replayed records arrive at that clock, so a restart can delay
-        them by up to one more ``max_wait``; their logits are unchanged.
-        """
-        if self.condemned:
-            return []
-        try:
-            return self.engine.advance_clock(t)
-        except PoisonedLogitsError:
-            raise
-        except Exception as error:
-            return self._recover(
-                error, then=lambda engine: engine.advance_clock(t)
-            )
-
-    def flush(self) -> list[FlowPrediction]:
-        if self.condemned:
-            return []
-        try:
-            return self.engine.flush()
-        except PoisonedLogitsError:
-            raise
-        except Exception as error:
-            return self._recover(error, then=lambda engine: engine.flush())
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(self, error, then=None) -> list[FlowPrediction]:
-        """Restart and replay; ``then(engine)`` finishes the crashed call
-        (a flush or clock advance) on the rebuilt engine."""
-        completed: list[FlowPrediction] = []
-        pending: list[FlowRecord] = []
-        while True:
-            self.report.count("errors")
-            # A multi-bucket call may have completed earlier buckets before
-            # crashing; those predictions were never returned — collect them
-            # or they would be served zero times.
-            completed.extend(self.engine.drain_completed())
-            # The crashed engine kept its bucket intact (exception-safe run),
-            # so draining recovers exactly the unserved in-flight records —
-            # prepended, because they were submitted before any replay rest.
-            pending = self.engine.drain_pending() + pending
-            if self.restarts >= self.max_restarts:
-                if self.policy == "fail_fast":
-                    raise error
-                self.condemned = True
-                self._condemned_error = repr(error)
-                return completed + self._fallback(pending, error)
-            self.sleep(self.backoff * (self.backoff_factor ** self.restarts))
-            self.restarts += 1
-            self.report.count("restarts")
-            old = self.engine
-            self.engine = self._rebuild(old)
-            self.retired_reports.append(old.report)
-            tracer = getattr(self.engine, "tracer", None)
-            if tracer is not None:
-                # Restarts are per-engine, not per-flow; "worker" stands in
-                # as the trace key so provenance still lands in the trace.
-                tracer.annotate(
-                    "worker", self.restarts, "worker_restart",
-                    error=repr(error), replayed=len(pending),
-                )
+    def predict_logits(self, token_ids, attention_mask=None, **kwargs):
+        while self.condemned is None:
             try:
-                while pending:
-                    # Pop before submitting: if the replay crashes, the
-                    # record lives in the new engine's buckets (restored by
-                    # the exception-safe run), never in both places.
-                    record = pending.pop(0)
-                    self.report.count("retries")
-                    if tracer is not None:
-                        tracer.annotate(
-                            record.key, record.generation, "retry",
-                            restart=self.restarts,
-                        )
-                    completed.extend(self.engine.submit(record))
-                if then is not None:
-                    completed.extend(then(self.engine))
-                return completed
-            except PoisonedLogitsError:
-                raise
-            except Exception as again:
-                error = again
+                return self._classifier.predict_logits(
+                    token_ids, attention_mask, **kwargs
+                )
+            except Exception as error:
+                self.report.count("errors")
+                if self.restarts < self.max_restarts:
+                    self._restart(error, len(token_ids))
+                elif self.policy == "fail_fast":
+                    raise
+                else:
+                    self.condemned = repr(error)
+        classes = getattr(self._classifier, "num_classes", None) or 2
+        return np.full((len(token_ids), int(classes)), np.nan)
 
-    def _fallback(self, records: list[FlowRecord],
-                  error=None) -> list[FlowPrediction]:
-        """Account records a condemned worker can no longer serve."""
-        reason = repr(error) if error is not None else (
-            self._condemned_error
-            or f"worker condemned after {self.restarts} restarts"
-        )
-        action = "dropped" if self.policy == "quarantine" else "degraded"
-        out: list[FlowPrediction] = []
-        for record in records:
-            self.dead_letters.append(DeadLetter(
-                stage="inference",
-                error=reason,
-                action=action,
-                flow_key=record.key,
-                generation=record.generation,
-                packet_count=record.packet_count,
-            ))
-            if self.policy == "quarantine":
-                self.report.count("quarantined")
-                continue
-            self.report.count("degraded")
-            classes = getattr(self.engine.classifier, "num_classes", None) or 2
-            prediction = FlowPrediction(
-                record=record,
-                logits=np.zeros(int(classes), dtype=np.float64),
-                cached=False,
-                latency=0.0,
-                degraded=True,
+    def _restart(self, error, rows: int) -> None:
+        self.sleep(self.backoff * 2 ** self.restarts)
+        self.restarts += 1
+        self.report.count("restarts")
+        self.report.count("retries", rows)
+        if self.tracer is not None:
+            # Restarts are per-worker, not per-flow; "worker" stands in as
+            # the trace key so provenance still lands in the trace.
+            self.tracer.annotate(
+                "worker", self.restarts, "worker_restart",
+                error=repr(error), rows=rows,
             )
-            self.report.observe(prediction)
-            out.append(prediction)
-        return out
 
-
-def _restart(old):
-    """:class:`ArmedRun`'s rebuild: a fresh clone keeping the logit guard."""
-    fresh = old.clone()
-    fresh.output_guard = old.output_guard
-    return fresh
+    def __getattr__(self, name):
+        return getattr(self._classifier, name)
 
 
 class ArmedRun:
     """The resilience layer armed for one
     :func:`~repro.serve.engine.serve_stream` run.
 
-    Substitutes a stand-in for each stage — :attr:`source` (under a
+    Substitutes a stand-in for two stages — :attr:`source` (under a
     non-``fail_fast`` policy a failed read becomes a :class:`SourceFailure`
-    marker instead of an exception), :attr:`assembler` (an
-    :class:`AssemblyGuard`) and :attr:`engine` (a :class:`WorkerSupervisor`
-    over the caller's engine) — so the driver runs its one loop over them
-    unchanged.  Dropped flows land in :attr:`dead_letters` (a fresh queue
-    when ``None`` is passed).
+    marker instead of an exception) and :attr:`assembler` (an
+    :class:`AssemblyGuard`) — so the driver runs its one loop over them
+    unchanged; :attr:`engine` is the caller's engine.  Dropped flows land
+    in :attr:`dead_letters` (a fresh queue when ``None`` is passed).
 
-    Arming installs the fault plan's classifier wrapper and a
-    :class:`LogitGuard` on the caller's engine; :meth:`restore` puts both
-    back, so a later run on the same engine never inherits this run's
-    dead-letter queue or injected faults.
+    Arming installs a :class:`SupervisedForward` over the fault plan's
+    classifier wrapper, and a :class:`LogitGuard`, on the caller's engine;
+    :meth:`restore` puts both back, so a later run on the same engine never
+    inherits this run's dead-letter queue, injected faults or condemned
+    worker.
     """
 
     def __init__(self, source, assembler, engine, *, policy: str, fault_plan,
@@ -570,30 +467,22 @@ class ArmedRun:
         self.assembler = AssemblyGuard(
             assembler, policy, self.dead_letters, report, fault_plan=fault_plan
         )
-        self.engine = WorkerSupervisor(
-            engine, _restart, policy, self.dead_letters, report,
-            max_restarts=max_restarts, backoff=restart_backoff,
-        )
+        self.engine = engine
         # Mutate the caller's engine last: restore() undoes exactly this.
-        self._caller = engine
         self._saved = (engine.classifier, engine.output_guard)
-        engine.classifier = wrap_classifier(engine.classifier, fault_plan)
-        engine.output_guard = LogitGuard(policy, self.dead_letters, report)
-
-    def fold_reports(self) -> None:
-        """Fold restart-retired engines' reports (and the final engine's)
-        into the caller's engine report, the accumulator the caller sees."""
-        caller, final = self._caller, self.engine.engine
-        if final is caller:
-            return
-        for retired in self.engine.retired_reports:
-            if retired is not caller.report:
-                caller.report.merge(retired)
-        caller.report.merge(final.report)
+        forward = SupervisedForward(
+            wrap_classifier(engine.classifier, fault_plan), policy, report,
+            max_restarts=max_restarts, backoff=restart_backoff,
+            tracer=engine.tracer,
+        )
+        engine.classifier = forward
+        engine.output_guard = LogitGuard(
+            policy, self.dead_letters, report, forward
+        )
 
     def restore(self) -> None:
         """Give the caller's engine back its classifier and output guard."""
-        self._caller.classifier, self._caller.output_guard = self._saved
+        self.engine.classifier, self.engine.output_guard = self._saved
 
 
 # ----------------------------------------------------------------------

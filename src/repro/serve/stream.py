@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from ..net.columns import PacketColumns
-from ..net.pcap import read_pcap_columns
+from ..net.pcap import check_errors_mode, read_pcap_columns
 
 __all__ = [
     "chunk_columns",
@@ -224,7 +224,8 @@ class PcapReplaySource(PacketSource):
     (:func:`read_pcap_columns`'s tolerant mode): the clean prefix streams
     normally and every skipped record is appended to :attr:`errors` (a list
     of :class:`~repro.net.pcap.PcapReadError`, reset at each replay pass).
-    The default ``"strict"`` raises exactly as before.
+    The default ``"strict"`` raises exactly as before; any other mode is
+    rejected at construction.
     """
 
     def __init__(
@@ -236,6 +237,7 @@ class PcapReplaySource(PacketSource):
         lazy_decode: bool = True,
         errors: str = "strict",
     ):
+        check_errors_mode(errors)
         super().__init__(chunk_rows=chunk_rows, pace=pace)
         self.path = path
         self.decode_cache = decode_cache

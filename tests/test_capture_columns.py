@@ -544,3 +544,11 @@ class TestTolerantRead:
         strict = PcapReplaySource(damaged, chunk_rows=7)
         with pytest.raises(ValueError, match="truncated mid-record"):
             list(strict)
+
+    def test_replay_source_rejects_unknown_errors_mode(self, capture_path):
+        from repro.serve import PcapReplaySource
+
+        # A misspelt mode must fail at construction, not replay strictly.
+        with pytest.raises(ValueError, match="errors must be 'strict' or "
+                           "'quarantine', got 'quarantin'"):
+            PcapReplaySource(capture_path, errors="quarantin")

@@ -570,14 +570,6 @@ class TestMaxWaitDeadline:
         with pytest.raises(ValueError, match="max_wait"):
             InferenceEngine(classifier, max_wait=max_wait)
 
-    def test_clone_keeps_deadline_and_clock(self, classifier):
-        engine = InferenceEngine(classifier, max_wait=1.5)
-        engine.advance_clock(7.0)
-        fresh = engine.clone()
-        assert fresh.max_wait == 1.5
-        assert fresh.clock == 7.0
-        assert fresh.pending == 0
-
 
 class TestSources:
     def test_chunk_columns_covers_all_rows(self, capture):

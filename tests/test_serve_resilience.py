@@ -9,9 +9,9 @@ served or accounted for in the dead-letter queue.  ``fail_fast`` (the
 default) must re-raise each fault exactly as the pre-resilience pipeline
 would, ``degrade`` serves flagged fallbacks where only the model failed.
 
-The recovery half gates bit-identity: a crashed worker restarted by the
-supervisor must serve the exact fault-free multiset (drain + replay loses
-nothing, double-serves nothing), and an assembler restored from a
+The recovery half gates bit-identity: a crashed forward retried in place
+must serve the exact fault-free multiset (loses nothing, double-serves
+nothing) at the same point of the stream, and an assembler restored from a
 checkpoint must emit the exact records of the uninterrupted run.
 """
 
@@ -24,6 +24,7 @@ import pytest
 
 from repro.context import FlowContextBuilder
 from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
+from repro.obs import TraceRecorder
 from repro.serve import (
     AssemblyFaultError,
     ChunkIntegrityError,
@@ -35,8 +36,10 @@ from repro.serve import (
     InferenceEngine,
     PoisonedLogitsError,
     PredictionCache,
+    ServingReport,
     SourceFaultError,
     StreamingFlowAssembler,
+    SupervisedForward,
     chunk_clock,
     chunk_columns,
     load_checkpoint,
@@ -379,24 +382,52 @@ class TestRandomChaosSweep:
 
 
 # ----------------------------------------------------------------------
-# Worker supervision: restart + replay is bit-identical
+# Worker supervision: a crashed forward is retried in place
 # ----------------------------------------------------------------------
+def float32_engine(scn):
+    """An engine over the float32 serving build: batches of 4, no cache."""
+    build = scn.get("float32")
+    if build is None:
+        build = scn["float32"] = scn["classifier"].serving_build("float32")
+    return make_engine(scn, build, batch_size=4, cache=None)
+
+
+class _AlwaysCrash:
+    num_classes = 4
+
+    def predict_logits(self, ids, mask=None, **kwargs):
+        raise RuntimeError("crash")
+
+
 class TestWorkerSupervision:
     @pytest.mark.parametrize("policy", ["fail_fast", "quarantine"])
-    def test_restart_recovery_is_bit_identical(self, scenario, policy):
-        # A crash with restart budget left must lose nothing: drain + replay
-        # serves the exact fault-free multiset, logits to the last bit.
-        # Ordinal 0 so the fault fires for every scenario (some fit in one
-        # length bucket and run a single forward).
-        plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
+    @pytest.mark.parametrize("build, crash", [
+        ("float64", 0), ("float32", 0), ("float32", 1), ("float32", 3),
+    ])
+    def test_restart_recovery_is_bit_identical(self, scenario, policy, build,
+                                               crash):
+        # A crash with restart budget left must lose nothing: the retried
+        # forward serves the exact fault-free multiset, logits to the last
+        # bit.  The float64 run crashes at ordinal 0 so the fault fires for
+        # every scenario (some fit in one length bucket and run a single
+        # forward).  The float32 runs hold no batch-invariance guarantee, so
+        # they are bit-identical only because the retry runs the same batch.
+        plan = FaultPlan((FaultSpec("forward", crash, "raise"),))
         dlq = DeadLetterQueue()
+        if build == "float64":
+            engine, idle_timeout = make_engine(scenario), 0.0
+            reference = sync_predictions(scenario)
+        else:
+            engine, idle_timeout = float32_engine(scenario), 0.2
+            reference, _ = run_resilient(
+                scenario, idle_timeout=0.2, engine=float32_engine(scenario)
+            )
         predictions, engine = run_resilient(
-            scenario, policy=policy, fault_plan=plan, dead_letters=dlq,
-            max_restarts=2, restart_backoff=0.005,
+            scenario, idle_timeout=idle_timeout, engine=engine, policy=policy,
+            fault_plan=plan, dead_letters=dlq, max_restarts=2,
+            restart_backoff=0.005,
         )
-        reference = sorted(
-            prediction_key(p) for p in sync_predictions(scenario)
-        )
+        reference = sorted(prediction_key(p) for p in reference)
         assert sorted(prediction_key(p) for p in predictions) == reference
         assert plan.fired
         assert len(dlq) == 0
@@ -405,8 +436,8 @@ class TestWorkerSupervision:
         assert counters["retries"] >= 1
 
     def test_restart_recovery_with_idle_timeout(self, scenario):
-        # Drain + replay while idle eviction closes flows mid-stream serves
-        # the fault-free multiset of the same timeout, close reasons included.
+        # A retry while idle eviction closes flows mid-stream serves the
+        # fault-free multiset of the same timeout, close reasons included.
         plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
         dlq = DeadLetterQueue()
         predictions, engine = run_resilient(
@@ -424,9 +455,9 @@ class TestWorkerSupervision:
 
     def test_deadline_crash_recovery_is_bit_identical(self, scenario):
         # With max_wait=0 every bucket runs at its chunk's clock advance, so
-        # the first forward crashes inside advance_clock: the supervisor
-        # drains, rebuilds (keeping the clock) and replays, and the run
-        # still serves the fault-free multiset to the last bit.
+        # the first forward crashes inside advance_clock: the retry runs the
+        # same bucket in the same call, and the run still serves the
+        # fault-free multiset to the last bit.
         plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
         dlq = DeadLetterQueue()
         predictions, engine = run_resilient(
@@ -445,77 +476,109 @@ class TestWorkerSupervision:
         assert summary["resilience"]["restarts"] == 1
         assert summary["batches_by_trigger"]["deadline"] >= 1
 
-    def test_supervised_advance_clock_replays_the_crashed_bucket(self, scenario):
-        from repro.serve import WorkerSupervisor
+    @pytest.mark.parametrize("max_wait", [0.5, 1.0])
+    @pytest.mark.parametrize("crash", [0, 1, 2])
+    def test_crash_keeps_every_flow_on_its_deadline(self, scenario, max_wait,
+                                                    crash):
+        # A recovered crash must not delay anyone: every flow is yielded
+        # while the same source chunk is served as in the fault-free run.
+        def chunk_served(**options):
+            reads = []
 
-        # Nothing runs before the clock advance: buckets hold every record.
-        options = dict(cache=None, max_wait=0.0, batch_size=1024,
-                       max_pending=1024)
-        records = stream_records(scenario)
-        reference = make_engine(scenario, **options)
-        for record in records:
-            reference.submit(record)
-        expected = {
-            (str(p.record.key), p.record.generation): p.logits.tobytes()
-            for p in reference.advance_clock(1.0)
-        }
-        engine = make_engine(scenario, **options)
-        supervisor = WorkerSupervisor(
-            engine, lambda old: old.clone(), "fail_fast",
-            DeadLetterQueue(), engine.report, max_restarts=1,
-            sleep=lambda _: None,
+            def source():
+                for chunk in chunk_columns(scenario["columns"], CHUNK_ROWS):
+                    reads.append(chunk)
+                    yield chunk
+
+            stream = serve_stream(
+                source(), make_assembler(scenario, idle_timeout=0.2),
+                make_engine(scenario, max_wait=max_wait), **options,
+            )
+            return {
+                (str(p.record.key), p.record.generation): len(reads)
+                for p in stream
+            }
+
+        plan = FaultPlan((FaultSpec("forward", crash, "raise"),))
+        recovered = chunk_served(
+            policy="quarantine", fault_plan=plan, max_restarts=2,
+            restart_backoff=0.0,
         )
-        for record in records:
-            assert supervisor.submit(record) == []
-        engine.classifier = _FlakyOnce(engine.classifier)
-        served = supervisor.advance_clock(1.0)
-        assert supervisor.engine is not engine
-        assert supervisor.engine.clock == 1.0
-        assert supervisor.engine.pending == 0
-        assert {
-            (str(p.record.key), p.record.generation): p.logits.tobytes()
-            for p in served
-        } == expected
+        assert plan.fired
+        assert recovered == chunk_served()
 
-    def test_exhausted_restarts_condemn_the_worker(self, scenario):
+    @pytest.mark.parametrize("cache, idle_timeout", [
+        ("cold", 0.0), ("warm", 0.2),
+    ])
+    def test_exhausted_restarts_condemn_the_worker(self, scenario, cache,
+                                                   idle_timeout):
         # Two crashes against a budget of one: the worker is condemned and
-        # everything it would have served is dead-lettered — conservation
-        # still holds exactly.
+        # every flow it would have forwarded is dead-lettered — conservation
+        # still holds exactly.  Cache hits need no forward, so with a warm
+        # cache a condemned worker still serves every one of them (idle
+        # eviction spreads the hits across the stream, after the crash).
         plan = FaultPlan((FaultSpec("forward", 0, "raise", count=2),))
         dlq = DeadLetterQueue()
+        engine = make_engine(scenario)
+        records = stream_records(scenario, idle_timeout=idle_timeout)
+        warmed = records[len(records) // 2:] if cache == "warm" else []
+        warmer = make_engine(scenario, cache=engine.cache)
+        for record in warmed:
+            warmer.submit(record)
+        warmer.flush()
         predictions, engine = run_resilient(
-            scenario, policy="quarantine", fault_plan=plan, dead_letters=dlq,
+            scenario, idle_timeout=idle_timeout, engine=engine,
+            policy="quarantine", fault_plan=plan, dead_letters=dlq,
             max_restarts=1, restart_backoff=0.005,
         )
+        assert plan.fired
         assert len(dlq) > 0
         assert all(e.stage == "inference" for e in dlq)
-        check_conservation(scenario, predictions, dlq)
+        assert all("EngineCrashError" in e.error for e in dlq)
+        check_conservation(scenario, predictions, dlq, idle_timeout=idle_timeout)
         assert engine.report.summary()["resilience"]["restarts"] == 1
-
-    def test_backoff_is_exponential(self, scenario):
-        from repro.serve import WorkerSupervisor
-
-        sleeps = []
-        engine = make_engine(scenario)
-        supervisor = WorkerSupervisor(
-            engine, lambda old: old.clone(), "quarantine",
-            DeadLetterQueue(), engine.report,
-            max_restarts=3, backoff=0.05, backoff_factor=2.0,
-            sleep=sleeps.append,
+        # No forward ever succeeded, so everything served is a cache hit.
+        keys = {r.cache_key for r in warmed}
+        assert all(p.cached for p in predictions)
+        assert sorted(record_key(p.record) for p in predictions) == sorted(
+            record_key(r) for r in records if r.cache_key in keys
         )
-        class _AlwaysCrash:
-            num_classes = 4
 
-            def predict_logits(self, ids, mask=None, **kwargs):
-                raise RuntimeError("crash")
-
-        records = stream_records(scenario)[:2]
-        supervisor.engine.classifier = _AlwaysCrash()
-        for r in records:
-            supervisor.submit(r)
-        supervisor.flush()
-        assert supervisor.condemned
+    def test_backoff_is_exponential(self):
+        sleeps = []
+        report = ServingReport()
+        tracer = TraceRecorder(clock=lambda: 0.0)
+        forward = SupervisedForward(
+            _AlwaysCrash(), "quarantine", report,
+            max_restarts=3, backoff=0.05, tracer=tracer, sleep=sleeps.append,
+        )
+        ids = np.zeros((2, 5), dtype=np.int64)
+        logits = forward.predict_logits(ids, None, batch_size=2)
         assert sleeps == [0.05, 0.1, 0.2]
+        assert forward.condemned == repr(RuntimeError("crash"))
+        assert logits.shape == (2, 4)
+        assert np.isnan(logits).all()
+        counters = report.summary()["resilience"]
+        assert counters["restarts"] == 3
+        assert counters["retries"] == 6  # rows re-run: 3 retries x 2 rows
+        assert [
+            (e.stage, e.generation, e.attrs["rows"])
+            for e in tracer.spans_for("worker")
+        ] == [("worker_restart", n, 2) for n in (1, 2, 3)]
+        # A condemned worker never calls the model (or sleeps) again.
+        assert np.isnan(forward.predict_logits(ids, None, batch_size=2)).all()
+        assert sleeps == [0.05, 0.1, 0.2]
+
+    def test_fail_fast_reraises_after_the_last_retry(self):
+        sleeps = []
+        forward = SupervisedForward(
+            _AlwaysCrash(), "fail_fast", ServingReport(),
+            max_restarts=2, backoff=0.05, sleep=sleeps.append,
+        )
+        with pytest.raises(RuntimeError, match="crash"):
+            forward.predict_logits(np.zeros((1, 5), dtype=np.int64))
+        assert sleeps == [0.05, 0.1]
+        assert forward.condemned is None
 
 
 # ----------------------------------------------------------------------
@@ -674,18 +737,6 @@ class TestEngineCrashHygiene:
         )
         # The retry forwards fresh logits; no stale hit was involved.
         assert cache.hits == hits_before
-
-    def test_drain_pending_returns_exact_in_flight_set(self, scenario):
-        records = stream_records(scenario)[:6]
-        engine = make_engine(scenario, batch_size=64)
-        for record in records:
-            engine.submit(record)
-        drained = engine.drain_pending()
-        assert sorted(record_key(r) for r in drained) == sorted(
-            record_key(r) for r in records
-        )
-        assert engine.drain_pending() == []
-        assert engine.flush() == []  # nothing left behind
 
     def test_cached_serving_unaffected_by_prior_crash(self, scenario):
         # Serve once through a crash-then-retry engine, then re-serve the
