@@ -122,16 +122,14 @@ class GRUClassifier(Module):
         return trainer.fit(make_batches, epochs=cfg.epochs, eval_fn=eval_fn, verbose=verbose)
 
     def predict(self, token_ids: np.ndarray, attention_mask: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        self.eval()
         outputs = []
-        with no_grad():
+        with self.eval_mode(), no_grad():
             for start in range(0, len(token_ids), batch_size):
                 logits = self(
                     token_ids[start : start + batch_size],
                     attention_mask=attention_mask[start : start + batch_size],
                 )
                 outputs.append(logits.data.argmax(axis=-1))
-        self.train()
         return np.concatenate(outputs, axis=0)
 
     def evaluate(

@@ -236,17 +236,15 @@ class SequenceClassifier(Module):
         :class:`~repro.core.fastpath.EvalForward`)."""
         token_ids = np.asarray(token_ids)
         if len(token_ids) == 0:
-            return np.zeros((0, self.num_classes))
-        self.eval()
+            return np.zeros((0, self.num_classes), dtype=self.model_dtype)
         outputs = []
-        with no_grad():
+        with self.eval_mode(), no_grad():
             for start in range(0, len(token_ids), batch_size):
                 mask = attention_mask
                 if mask is not None:
                     mask = mask[start : start + batch_size]
                 logits = self(token_ids[start : start + batch_size], attention_mask=mask)
                 outputs.append(logits.data)
-        self.train()
         return np.concatenate(outputs, axis=0)
 
     def predict_proba(

@@ -37,25 +37,23 @@ def integrated_gradients(
         raise ValueError("steps must be at least 1")
 
     model = classifier.model
-    classifier.eval()
-    full_embedding = model.embed_tokens(token_ids[None, :]).data
-    accumulated = np.zeros_like(full_embedding)
-
-    for step in range(1, steps + 1):
-        alpha = step / steps
-        scaled = Tensor(full_embedding * alpha, requires_grad=True)
-        hidden = model(
-            attention_mask=attention_mask[None, :],
-            inputs_embeds=scaled,
-        )
-        cls = hidden[:, 0, :]
-        logits = classifier.head(cls)
-        log_probs = logits.log_softmax(axis=-1)
-        objective = log_probs[:, int(target_class)].sum()
-        objective.backward()
-        if scaled.grad is not None:
-            accumulated += scaled.grad
-    classifier.train()
+    with classifier.eval_mode():
+        full_embedding = model.embed_tokens(token_ids[None, :]).data
+        accumulated = np.zeros_like(full_embedding)
+        for step in range(1, steps + 1):
+            alpha = step / steps
+            scaled = Tensor(full_embedding * alpha, requires_grad=True)
+            hidden = model(
+                attention_mask=attention_mask[None, :],
+                inputs_embeds=scaled,
+            )
+            cls = hidden[:, 0, :]
+            logits = classifier.head(cls)
+            log_probs = logits.log_softmax(axis=-1)
+            objective = log_probs[:, int(target_class)].sum()
+            objective.backward()
+            if scaled.grad is not None:
+                accumulated += scaled.grad
 
     average_gradient = accumulated / steps
     attributions = (average_gradient * full_embedding).sum(axis=-1)[0]

@@ -9,9 +9,9 @@ tape node each, with three properties the differential harness
 
 * **Bit-identical forwards.**  Each fused forward replays the exact NumPy
   op sequence of the composed path (same functions, same evaluation order,
-  in-place only where IEEE semantics make it equivalent), so outputs —
-  including eval logits — are bit-identical to the reference, not merely
-  close.
+  in-place only where IEEE semantics make it equivalent), so float64
+  outputs — including eval logits — are bit-identical to the reference,
+  not merely close.  The taping and no-tape forwards share one body.
 * **Analytic single-pass backwards.**  The backward is the closed-form VJP
   of the whole block.  It is mathematically exact (numeric gradcheck in
   `tests/test_gradcheck.py`) but may differ from the composed backward in
@@ -29,17 +29,20 @@ Dtype discipline: every kernel computes in the dtype of its input (scalars
 enter as Python floats, which NumPy treats as weak — no silent float64
 upcast), so the same code path serves float64 and float32 models.
 
-Float32 is special-cased further: bit-identical replay pins the accumulation
-order, which also pins the BLAS call shapes — batched attention dispatches
-``batch * heads`` tiny gemms and last-axis ufunc reductions run far slower
-than an equivalent gemv.  Under the relaxed-ulp policy
-(:mod:`repro.nn.numeric`) a float32 *eval* forward is allowed to
-reassociate, so the no-tape float32 paths here dispatch to the packed
-kernels (:func:`eval_attention_packed`, :func:`eval_layer_norm_packed`):
-one ``(b*s, d) @ (d, 3d)`` gemm for all three QKV projections, head-packed
+The no-tape forward kernels (:func:`eval_layer_norm`,
+:func:`eval_attention`, :func:`eval_matmul`) are the one place the numeric
+policy (:mod:`repro.nn.numeric`) picks a kernel by dtype; the fused modules
+without a tape and the serving fast path (:mod:`repro.core.fastpath`) both
+call them.  Float64 runs the bit-exact replay.  Bit-identical replay pins
+the accumulation order, which also pins the BLAS call shapes — batched
+attention dispatches ``batch * heads`` tiny gemms and last-axis ufunc
+reductions run far slower than an equivalent gemv — so under the
+relaxed-ulp policy float32 reassociates instead: the packed kernels
+(:func:`eval_attention_packed`, :func:`eval_layer_norm_packed`) run one
+``(b*s, d) @ (d, 3d)`` gemm for all three QKV projections, head-packed
 contiguous ``(b*h, s, ·)`` 3D gemms for scores and context, and
-gemv-against-ones for the softmax/layernorm reductions.  Float64 keeps the
-bit-exact replay unchanged.
+gemv-against-ones for the softmax/layernorm reductions, and projections
+fold the batch into one 2D gemm.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ __all__ = [
     "fused_attention",
     "fused_cross_entropy",
     "fused_masked_cross_entropy",
+    "eval_layer_norm",
+    "eval_attention",
+    "eval_matmul",
     "eval_layer_norm_packed",
     "eval_attention_packed",
 ]
@@ -307,33 +313,15 @@ def _vjp_layer_norm(grad, parents, saved):
     return gx, ggamma, gbeta
 
 
-@_profiled("layer_norm")
-def fused_layer_norm(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, pool: ScratchPool
-) -> Tensor:
-    """LayerNorm over the last axis as a single tape node.
+def _layer_norm_stats(data: np.ndarray, eps: float, pool: ScratchPool) -> tuple:
+    """The bit-exact LayerNorm statistics: ``(centered, (var + eps) ** 0.5)``.
 
-    Forward replays the composed op order exactly — mean as
-    ``sum * (1/d)``, variance of the centered values, normalization by
-    *division* with ``(var + eps) ** 0.5`` — so outputs are bit-identical
-    to the reference ``LayerNorm``.  The inverse std is saved for the
-    analytic backward.
+    Replays the composed op order exactly — mean as ``sum * (1/d)``,
+    variance of the centered values.  ``centered`` is a pooled buffer.
     """
-    data = x.data
     d = data.shape[-1]
     inv_d = 1.0 / max(d, 1)
     stat_shape = data.shape[:-1] + (1,)
-    taping = is_grad_enabled() and (
-        x.requires_grad or gamma.requires_grad or beta.requires_grad
-    )
-
-    if not taping and data.dtype == np.float32:
-        # Float32 eval is governed by the relaxed-ulp policy
-        # (repro.nn.numeric): gemv-reduction layer norm.  Float64 keeps
-        # the bit-exact replay below.
-        out = eval_layer_norm_packed(data, gamma.data, beta.data, eps, pool)
-        return Tensor._make(out, False)
-
     mean = pool.take("ln_mean", stat_shape, data.dtype)
     np.sum(data, axis=-1, keepdims=True, out=mean)
     mean *= inv_d
@@ -348,18 +336,29 @@ def fused_layer_norm(
     # ndarray ** 0.5, not np.power-with-out: the operator is what the
     # composed path runs, and NumPy's scalar-exponent fast paths may
     # round differently from the general power loop.
-    denom = var ** 0.5
+    return centered, var ** 0.5
 
-    xhat = (
-        np.divide(centered, denom, out=pool.take("ln_xhat", data.shape, data.dtype))
-        if not taping
-        else centered / denom
-    )
+
+@_profiled("layer_norm")
+def fused_layer_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, pool: ScratchPool
+) -> Tensor:
+    """LayerNorm over the last axis as a single tape node.
+
+    Forward replays the composed op order exactly (normalization by
+    *division* with the ``(var + eps) ** 0.5`` of :func:`_layer_norm_stats`),
+    so outputs are bit-identical to the reference ``LayerNorm``.  The
+    inverse std is saved for the analytic backward.  Without a tape this is
+    :func:`eval_layer_norm`.
+    """
+    taping = is_grad_enabled() and any(t.requires_grad for t in (x, gamma, beta))
+    if not taping:
+        out = eval_layer_norm(x.data, gamma.data, beta.data, eps, pool)
+        return Tensor._make(out, False)
+    centered, denom = _layer_norm_stats(x.data, eps, pool)
+    xhat = centered / denom
     out = xhat * gamma.data
     out += beta.data
-
-    if not taping:
-        return Tensor._make(out, False)
     rstd = 1.0 / denom
     return Tensor._result(out, (x, gamma, beta), _vjp_layer_norm, (xhat, rstd, pool))
 
@@ -431,15 +430,65 @@ def _vjp_attention(grad, parents, saved):
     return gx, gwq, gbq, gwk, gbk, gwv, gbv
 
 
+def _attention_forward(data, params, num_heads, mask, pool, taping, out=None):
+    """The bit-exact QKV + SDPA forward, mirroring the composed path op for op.
+
+    ``params`` is the ``(wq, bq, wk, bk, wv, bv)`` arrays.  Returns
+    ``(merged context, attention weights, saved)`` where ``saved`` is the
+    backward's residual tuple.  When taping, the Q/K/V activations and
+    softmax weights are freshly allocated (the backward keeps them);
+    otherwise every intermediate lives in the scratch pool.
+    """
+    wq, bq, wk, bk, wv, bv = params
+    b, s, d = data.shape
+    h = num_heads
+    dh = d // h
+    scale = 1.0 / float(np.sqrt(dh))
+    dt = data.dtype
+
+    def take(slot: str, shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape, dt) if taping else pool.take(slot, shape, dt)
+
+    def project(slot: str, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        proj = take(slot, (b, s, d))
+        np.matmul(data, w, out=proj)
+        proj += bias
+        return proj.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+
+    q4 = project("att_q", wq, bq)
+    k4 = project("att_k", wk, bk)
+    v4 = project("att_v", wv, bv)
+
+    scores = take("att_scores", (b, h, s, s))
+    np.matmul(q4, np.swapaxes(k4, -1, -2), out=scores)
+    scores *= scale
+    if mask is not None:
+        np.copyto(scores, -1e9, where=mask)
+
+    stat_shape = (b, h, s, 1)
+    mx = pool.take("att_max", stat_shape, dt)
+    np.max(scores, axis=-1, keepdims=True, out=mx)
+    np.subtract(scores, mx, out=scores)
+    np.exp(scores, out=scores)
+    denom = pool.take("att_denom", stat_shape, dt)
+    np.sum(scores, axis=-1, keepdims=True, out=denom)
+    np.divide(scores, denom, out=scores)
+    weights = scores
+
+    ctx = pool.take("att_ctx", (b, h, s, dh), dt)
+    np.matmul(weights, v4, out=ctx)
+    if out is None:
+        out = np.empty((b, s, d), dt)
+    np.copyto(out.reshape(b, s, h, dh), ctx.transpose(0, 2, 1, 3))
+    return out, weights, (q4, k4, v4, weights, scale, pool)
+
+
 @_profiled("attention")
 def fused_attention(
     x: Tensor,
-    wq: Tensor,
-    bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
+    wq: Tensor, bq: Tensor,
+    wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor,
     num_heads: int,
     mask: np.ndarray | None,
     pool: ScratchPool,
@@ -448,75 +497,85 @@ def fused_attention(
 
     Returns the merged ``(batch, seq, d_model)`` context (before the output
     projection, which stays a composed ``Linear``) and the attention
-    weights array for recording.  The forward mirrors the composed path op
-    for op; when taping, the Q/K/V activations and softmax weights are
-    freshly allocated (they are saved for the backward), otherwise every
-    intermediate lives in the scratch pool.
+    weights array for recording.  The taping forward is
+    :func:`_attention_forward`; without a tape this is
+    :func:`eval_attention`.
     """
-    data = x.data
-    b, s, d = data.shape
-    h = num_heads
-    dh = d // h
-    scale = 1.0 / float(np.sqrt(dh))
-    taping = is_grad_enabled() and any(
-        t.requires_grad for t in (x, wq, bq, wk, bk, wv, bv)
-    )
+    parents = (x, wq, bq, wk, bk, wv, bv)
+    params = tuple(t.data for t in parents[1:])
+    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+        merged, weights = eval_attention(x.data, *params, num_heads, mask, pool)
+        return Tensor._make(merged, False), weights
+    merged, weights, saved = _attention_forward(x.data, params, num_heads, mask, pool, True)
+    return Tensor._result(merged, parents, _vjp_attention, saved), weights
 
-    if not taping and data.dtype == np.float32:
-        # Float32 eval is governed by the relaxed-ulp policy
-        # (repro.nn.numeric): head-packed gemms.  Float64 keeps the
-        # bit-exact replay below.
-        merged, weights = eval_attention_packed(
-            data, wq.data, bq.data, wk.data, bk.data, wv.data, bv.data,
-            num_heads, mask, pool,
+
+# ----------------------------------------------------------------------
+# No-tape eval kernels: one dtype dispatch under the numeric policy
+# ----------------------------------------------------------------------
+
+def eval_layer_norm(
+    data: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+    pool: ScratchPool, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """No-tape LayerNorm over the last axis, into ``out`` (fresh if ``None``).
+
+    Float32 runs :func:`eval_layer_norm_packed` (relaxed-ulp policy);
+    float64 replays the composed op order bit for bit.
+    """
+    if data.dtype == np.float32:
+        return eval_layer_norm_packed(data, gamma, beta, eps, pool, out=out)
+    centered, denom = _layer_norm_stats(data, eps, pool)
+    np.divide(centered, denom, out=centered)
+    if out is None:
+        out = np.empty(data.shape, data.dtype)
+    np.multiply(centered, gamma, out=out)
+    out += beta
+    return out
+
+
+def eval_attention(
+    data: np.ndarray,
+    wq: np.ndarray, bq: np.ndarray,
+    wk: np.ndarray, bk: np.ndarray,
+    wv: np.ndarray, bv: np.ndarray,
+    num_heads: int,
+    mask: np.ndarray | None,
+    pool: ScratchPool,
+    out: np.ndarray | None = None,
+    need_weights: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """No-tape QKV + SDPA: ``(merged context, attention weights)``.
+
+    Float32 runs :func:`eval_attention_packed` (relaxed-ulp policy);
+    float64 runs the bit-exact :func:`_attention_forward`, which always
+    normalizes the score matrix (those bits are its contract), so there
+    ``need_weights=False`` only drops the weights from the result.  The
+    weights are a pooled view, valid until the next call on ``pool``.
+    """
+    if data.dtype == np.float32:
+        return eval_attention_packed(
+            data, wq, bq, wk, bk, wv, bv, num_heads, mask, pool,
+            out=out, need_weights=need_weights,
         )
-        return Tensor._make(merged, False), weights
+    params = (wq, bq, wk, bk, wv, bv)
+    merged, weights, _ = _attention_forward(data, params, num_heads, mask, pool, False, out)
+    return merged, weights if need_weights else None
 
-    def _project(slot: str, w: Tensor, bias: Tensor) -> np.ndarray:
-        out = np.empty((b, s, d), data.dtype) if taping else pool.take(slot, (b, s, d), data.dtype)
-        np.matmul(data, w.data, out=out)
-        out += bias.data
-        return out
 
-    q4 = _project("att_q", wq, bq).reshape(b, s, h, dh).transpose(0, 2, 1, 3)
-    k4 = _project("att_k", wk, bk).reshape(b, s, h, dh).transpose(0, 2, 1, 3)
-    v4 = _project("att_v", wv, bv).reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+def eval_matmul(src: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``src @ weight -> out`` for ``(b, s, ·)`` activations.
 
-    scores_shape = (b, h, s, s)
-    scores = (
-        np.empty(scores_shape, data.dtype)
-        if taping
-        else pool.take("att_scores", scores_shape, data.dtype)
-    )
-    np.matmul(q4, np.swapaxes(k4, -1, -2), out=scores)
-    scores *= scale
-    if mask is not None:
-        np.copyto(scores, -1e9, where=mask)
-
-    stat_shape = (b, h, s, 1)
-    mx = pool.take("att_max", stat_shape, data.dtype)
-    np.max(scores, axis=-1, keepdims=True, out=mx)
-    np.subtract(scores, mx, out=scores)
-    np.exp(scores, out=scores)
-    denom = pool.take("att_denom", stat_shape, data.dtype)
-    np.sum(scores, axis=-1, keepdims=True, out=denom)
-    np.divide(scores, denom, out=scores)
-    weights = scores
-
-    ctx = pool.take("att_ctx", (b, h, s, dh), data.dtype)
-    np.matmul(weights, v4, out=ctx)
-    merged = np.empty((b, s, d), data.dtype)
-    np.copyto(merged.reshape(b, s, h, dh), ctx.transpose(0, 2, 1, 3))
-
-    if not taping:
-        return Tensor._make(merged, False), weights
-    out = Tensor._result(
-        merged,
-        (x, wq, bq, wk, bk, wv, bv),
-        _vjp_attention,
-        (q4, k4, v4, weights, scale, pool),
-    )
-    return out, weights
+    Float32 folds the batch into the rows so BLAS runs one large gemm
+    instead of ``b`` small ones; float64 keeps the 3D matmul the composed
+    path runs, bit for bit.
+    """
+    if src.dtype == np.float32:
+        rows = src.shape[0] * src.shape[1]
+        np.matmul(src.reshape(rows, -1), weight, out=out.reshape(rows, -1))
+    else:
+        np.matmul(src, weight, out=out)
+    return out
 
 
 # ----------------------------------------------------------------------

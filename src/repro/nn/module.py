@@ -3,11 +3,13 @@
 A :class:`Module` owns named :class:`~repro.nn.autograd.Tensor` parameters
 and possibly child modules.  It provides the usual conveniences:
 ``parameters()``, ``named_parameters()``, ``zero_grad()``, ``train()`` /
-``eval()`` mode switching, and a flat ``state_dict`` for serialization.
+``eval()`` mode switching (``eval_mode()`` for a block), and a flat
+``state_dict`` for serialization.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -91,6 +93,20 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def eval_mode(self) -> Iterator["Module"]:
+        """Eval mode for a ``with`` block, then the caller's mode back.
+
+        The mode on entry is restored also when the block raises, so an
+        eval helper never flips its caller's train/eval mode.
+        """
+        was_training = self.training
+        self.eval()
+        try:
+            yield self
+        finally:
+            self.train(was_training)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -277,9 +277,8 @@ class MetricsRegistry:
     the existing metric (configuration must match for histograms), so
     instrumented layers can share one registry without coordination.
     :meth:`merge` folds another registry in — metrics present in both merge
-    exactly; metrics only the other side has are copied in — which is what
-    :meth:`repro.serve.report.ServingReport.merge` does with another
-    engine's report.
+    exactly; metrics only the other side has are copied in — so, e.g., the
+    ``metrics`` registries of two engines' serving reports fold into one.
     """
 
     def __init__(self):

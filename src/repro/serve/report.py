@@ -12,10 +12,10 @@ Since the observability layer landed, the report is backed by a
 * **Bounded memory.**  Latency and batch-size series are
   fixed-bucket log-scale histograms — a million observations costs the
   same memory as ten (regression-tested in ``tests/test_obs.py``).
-* **Exact merges.**  :meth:`merge` folds independently accounted reports
-  (engines serving different builds, say) by bucket-wise addition —
-  commutative and associative, so any merge order yields the identical
-  registry.
+* **Exact merges.**  Every report shares fixed histogram layouts, so the
+  registries of independently accounted reports fold exactly with
+  :meth:`MetricsRegistry.merge <repro.obs.metrics.MetricsRegistry.merge>`
+  (bucket-wise addition, in any order).
 * **Same scorecard.**  :meth:`summary` keeps its key shape; counts, sums,
   means and maxima are exact, and the p50/p99 latency estimates carry at
   most one histogram-bucket width (< 9%) of relative error — well inside
@@ -152,33 +152,6 @@ class ServingReport:
             )
         with self._counter_lock:
             self.metrics.counter(f"serve.resilience.{name}").inc(n)
-
-    def merge(self, other: "ServingReport") -> None:
-        """Fold another report (another engine's) into this one.
-
-        Counter merges are sums and histogram merges are bucket-wise sums
-        (every report shares the fixed layouts above), so folding N reports
-        is exact and order-independent.  The dtype/policy stamps are
-        adopted from ``other`` when this report has none; a genuine conflict
-        (engines serving different builds) surfaces as ``"mixed"`` rather
-        than silently keeping one side.
-        """
-        for field in ("model_dtype", "numeric_policy"):
-            theirs = getattr(other, field, None)
-            if theirs is not None:
-                mine = getattr(self, field)
-                setattr(self, field, theirs if mine in (None, theirs) else "mixed")
-        with self._counter_lock:
-            self.metrics.merge(other.metrics)
-        if other._first_submit is not None and (
-            self._first_submit is None or other._first_submit < self._first_submit
-        ):
-            self._first_submit = other._first_submit
-        if other._last_completion is not None and (
-            self._last_completion is None
-            or other._last_completion > self._last_completion
-        ):
-            self._last_completion = other._last_completion
 
     # ------------------------------------------------------------------
     # Summary

@@ -108,11 +108,8 @@ class MLPRegressor(Module):
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        self.eval()
-        with no_grad():
-            output = self(features).data
-        self.train()
-        return output
+        with self.eval_mode(), no_grad():
+            return self(features).data
 
     def evaluate(self, features: np.ndarray, targets: np.ndarray) -> dict[str, float]:
         return regression_metrics(targets, self.predict(features))

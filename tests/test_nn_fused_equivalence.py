@@ -413,6 +413,11 @@ class TestFloat32Discipline:
         ids = np.arange(12).reshape(3, 4)
         logits = clf.predict_logits(ids, np.ones((3, 4), dtype=bool))
         assert logits.dtype == np.float32
+        # An empty batch comes back in the model's dtype from both loops.
+        empty = np.zeros((0, 4), dtype=np.int64)
+        for predict in (clf.predict_logits, clf.predict_logits_reference):
+            out = predict(empty, None)
+            assert out.shape == (0, 4) and out.dtype == np.float32
 
     def test_fused_float32_tracks_float64(self):
         ids = np.arange(12).reshape(3, 4)

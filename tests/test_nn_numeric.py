@@ -18,6 +18,8 @@ preserve the serving dtype, and config validation.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ from repro.nn import (
     masked_cross_entropy,
     no_grad,
     save_checkpoint,
+)
+from repro.nn.kernels import (
+    GrowingScratchPool,
+    eval_attention,
+    eval_layer_norm,
+    eval_matmul,
 )
 from repro.nn.numeric import (
     POLICY_BIT_EXACT_F64,
@@ -209,8 +217,11 @@ class TestFusedKernelSweep:
 
     The float64 arm is the bit-exact policy restated (budget 0, plus a
     direct ``array_equal``); the float32 arm is the documented relaxed
-    budget, exercising the packed eval kernels the f32 fast path dispatches
-    to (`eval_layer_norm_packed`, `eval_attention_packed`).
+    budget.  The no-tape cases run the one dtype dispatch of
+    `repro.nn.kernels` (`eval_layer_norm`, `eval_attention`, `eval_matmul`)
+    that both the fused modules and the serving fast path call: the exact
+    replay for float64, the packed kernels (`eval_layer_norm_packed`,
+    `eval_attention_packed`) for float32.
     """
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -256,6 +267,64 @@ class TestFusedKernelSweep:
             subject.last_attention, reference.last_attention,
             "softmax", dtype, "attention weights " + what,
         )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_eval_kernels_into_shared_growing_pool(self, dtype):
+        """``eval_layer_norm`` / ``eval_attention`` / ``eval_matmul`` called
+        directly, writing into ``out=`` buffers of one shared
+        :class:`GrowingScratchPool`, against the composed float64 modules.
+
+        Shapes run largest first, so every later call gets prefix views of
+        buffers an earlier call sized — the serving fast path's situation.
+        """
+        pool = GrowingScratchPool()
+        shapes = sorted(SERVING_SHAPES, key=np.prod, reverse=True)
+        for (batch, seq, d), masked in itertools.product(shapes, (False, True)):
+            what = f"{batch}x{seq}x{d} masked={masked}"
+            rng = np.random.default_rng(batch * 131 + seq + masked)
+            x = rng.normal(size=(batch, seq, d))
+            xd = x.astype(dtype)
+
+            norm = LayerNorm(d, fused=False)
+            norm.gamma.data, norm.beta.data = rng.normal(size=d), rng.normal(size=d)
+            with no_grad():
+                ref = norm(Tensor(x)).data
+            out = pool.take("ln_out", x.shape, dtype)
+            got = eval_layer_norm(
+                xd, norm.gamma.data.astype(dtype), norm.beta.data.astype(dtype),
+                norm.eps, pool, out=out,
+            )
+            assert got is out and out.dtype == dtype
+            _check(out, ref, "layer_norm", dtype, "eval_layer_norm " + what)
+
+            # Attention, then the output projection through eval_matmul.
+            att = MultiHeadAttention(d, 4, rng=np.random.default_rng(3), fused=False)
+            att.eval()
+            valid = None
+            if masked:
+                valid = np.ones((batch, seq), dtype=bool)
+                for row in range(batch):
+                    valid[row, rng.integers(1, seq + 1) :] = False
+            with no_grad():
+                ref = att(Tensor(x), attention_mask=valid).data
+            params = [
+                p.data.astype(dtype)
+                for lin in (att.q_proj, att.k_proj, att.v_proj)
+                for p in (lin.weight, lin.bias)
+            ]
+            mask = None if valid is None else ~valid[:, None, None, :]
+            merged = pool.take("att_merged", x.shape, dtype)
+            got, weights = eval_attention(xd, *params, 4, mask, pool, out=merged)
+            assert got is merged
+            _check(
+                weights, att.last_attention, "softmax", dtype,
+                "eval_attention weights " + what,
+            )
+            projected = pool.take("proj", x.shape, dtype)
+            eval_matmul(merged, att.out_proj.weight.data.astype(dtype), projected)
+            projected += att.out_proj.bias.data.astype(dtype)
+            assert projected.dtype == dtype
+            _check(projected, ref, "attention", dtype, "eval_attention " + what)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_cross_entropy(self, dtype):

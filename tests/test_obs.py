@@ -236,71 +236,7 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 # ServingReport over the registry (satellites)
 # ----------------------------------------------------------------------
-def _observe_flows(report, seed, n=50):
-    class _Rec:
-        packet_count = 3
-
-    class _Pred:
-        record = _Rec()
-        cached = False
-
-    rng = np.random.default_rng(seed)
-    for latency in rng.lognormal(-5, 1, n):
-        report.mark_submit()
-        p = _Pred()
-        p.latency = float(latency)
-        report.observe(p)
-        report.observe_batch(int(rng.integers(1, 9)))
-    report.count("errors", int(rng.integers(0, 3)))
-
-
 class TestServingReportSatellites:
-    def test_stamp_conflicts_merge_to_mixed(self):
-        a, b = ServingReport(), ServingReport()
-        a.model_dtype, a.numeric_policy = "float64", "strict-fp64"
-        b.model_dtype, b.numeric_policy = "float32", "relaxed-ulp-f32"
-        a.merge(b)
-        assert a.model_dtype == "mixed"
-        assert a.numeric_policy == "mixed"
-
-    def test_empty_merge_both_directions(self):
-        seen = ServingReport()
-        _observe_flows(seen, seed=0)
-        before = seen.summary()
-        seen.merge(ServingReport())
-        assert seen.summary() == before
-
-        empty = ServingReport()
-        empty.merge(seen)
-        after = empty.summary()
-        # Timing envelopes travel with the merge, so the whole scorecard
-        # (rates included) survives merging into a fresh report.
-        assert after == before
-
-    def test_merge_commutes_across_three_workers(self):
-        def fold(order):
-            total = ServingReport()
-            for seed in order:
-                worker = ServingReport()
-                _observe_flows(worker, seed)
-                total.merge(worker)
-            summary = total.summary()
-            del summary["wall_s"], summary["flows_per_s"], summary["packets_per_s"]
-            data = total.metrics.to_dict()
-            for snap in data.values():  # float sums: equal up to reordering
-                snap.pop("sum", None)
-                snap.pop("mean", None)
-            return summary, data
-
-        first, second = fold([1, 2, 3]), fold([3, 1, 2])
-        assert first[1] == second[1]  # registries identical bucket for bucket
-        # mean_batch is a float sum divided by an exact count: equal only up
-        # to addition reordering.  Everything else is exactly equal.
-        assert first[0].pop("mean_batch") == pytest.approx(
-            second[0].pop("mean_batch"), rel=1e-12
-        )
-        assert first[0] == second[0]
-
     def test_million_latencies_stay_o_buckets(self):
         # Satellite: the report's latency series is bounded — it has no
         # per-observation storage anywhere (the pre-obs implementation grew
