@@ -17,7 +17,7 @@ packed kernels under the relaxed documented-ulp policy of
 :mod:`repro.nn.numeric`.  The only op replayed here is gelu (the same
 multiply chain as ``Tensor.gelu``).
 
-Three serving contracts live here rather than in the engine or the kernels:
+Four serving contracts live here rather than in the engine or the kernels:
 
 * **Batch invariance.**  A 1-row forward takes a different BLAS path than
   the same row inside a >=2-row batch (gemv-shaped kernels, last-ulp
@@ -27,6 +27,13 @@ Three serving contracts live here rather than in the engine or the kernels:
   where a chunk boundary fell.  Float32 packed gemms round differently per
   batch shape, so a float32 row's logits can move in the last bits (within
   the ``logits`` ulp budget) with the rows it is batched with.
+* **[CLS]-only last layer (float32).**  The head reads only ``[CLS]``, so
+  a float32 forward runs the last layer's attention over every position
+  and then carries only the ``[CLS]`` rows through the rest of the layer,
+  the final norm and the head, within the ``logits`` ulp budget.  Float64
+  keeps the full forward: the cut would replace per-item ``(s, ·)``
+  products by ``(b, ·)`` gemms, whose row bits depend on ``b`` at
+  ``d_ff`` 512 on OpenBLAS (``docs/NN.md``).
 * **Attention recording.**  Each layer's ``last_attention`` is written
   exactly as the module forward would, so attention rollout and the other
   interpretability consumers see identical maps.
@@ -135,7 +142,12 @@ class EvalForward:
         # returning a previous batch's weights.
         record = getattr(self.classifier, "record_attention", True)
         blk = pool.take("blk", (b, s, d), dtype)
-        for layer in model.encoder.layers:
+        layers = model.encoder.layers
+        # Float32 [CLS]-only tail: after the last layer's attention (queries
+        # and recorded maps over every position, as before) only the [CLS]
+        # rows reach the head, so only they run the rest of the layer.
+        cut = len(layers) - 1 if dtype == np.float32 else None
+        for index, layer in enumerate(layers):
             # x = x + out_proj(attention(norm1(x)))
             layer_norm(layer.norm1, x, blk)
             att = layer.attention
@@ -149,6 +161,13 @@ class EvalForward:
                 need_weights=record,
             )
             att.last_attention = weights[:keep].copy() if record else None
+            if index == cut:
+                # (b, 1, d) [CLS] views in, contiguous (b, 1, d) buffers out:
+                # after the two residual swaps the final norm writes into
+                # "cls_res", which the 2-D gemm reshapes can view.
+                merged, x = merged[:, :1], x[:, :1]
+                blk = pool.take("cls_blk", (b, 1, d), dtype)
+                y = pool.take("cls_res", (b, 1, d), dtype)
             eval_matmul(merged, att.out_proj.weight.data, blk)
             blk += att.out_proj.bias.data
             np.add(x, blk, out=y)

@@ -30,9 +30,8 @@ class PrototypeClassifier:
         self.classes: np.ndarray | None = None
 
     def _embed(self, token_ids: np.ndarray, attention_mask: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        self.model.eval()
         chunks = []
-        with no_grad():
+        with self.model.eval_mode(), no_grad():
             for start in range(0, len(token_ids), batch_size):
                 cls = self.model.encode_cls(
                     token_ids[start : start + batch_size],

@@ -27,7 +27,7 @@ import numpy as np
 from ..context.builders import Context
 from ..net.dns import DNSMessage
 from ..net.packet import Packet
-from ..nn.autograd import Tensor
+from ..nn.autograd import Tensor, no_grad
 from ..nn.data import PackedBatch, pack_batches
 from ..nn.losses import cross_entropy, masked_cross_entropy
 from ..nn.module import Module
@@ -469,10 +469,9 @@ class Pretrainer:
         masked, targets, loss_mask = mask_tokens(
             ids, mask, self.vocabulary, self._rng, self.config.mask_probability
         )
-        self.model.eval()
-        self.mlm_head.eval()
-        hidden = self.model(masked, attention_mask=mask)
-        logits = self.mlm_head(hidden).data
+        with self.model.eval_mode(), self.mlm_head.eval_mode(), no_grad():
+            hidden = self.model(masked, attention_mask=mask)
+            logits = self.mlm_head(hidden).data
         predictions = logits.argmax(axis=-1)
         if loss_mask.sum() == 0:
             return 0.0

@@ -49,8 +49,7 @@ def contextual_token_embeddings(
     ids, mask = encode_contexts(contexts, vocabulary, max_len)
     sums: dict[int, np.ndarray] = defaultdict(lambda: np.zeros(model.config.d_model))
     counts: dict[int, int] = defaultdict(int)
-    model.eval()
-    with no_grad():
+    with model.eval_mode(), no_grad():
         for start in range(0, len(ids), batch_size):
             batch_ids = ids[start : start + batch_size]
             batch_mask = mask[start : start + batch_size]
@@ -83,8 +82,7 @@ def sequence_embeddings(
     max_len = max_len or model.config.max_len
     ids, mask = encode_contexts(contexts, vocabulary, max_len)
     outputs = []
-    model.eval()
-    with no_grad():
+    with model.eval_mode(), no_grad():
         for start in range(0, len(ids), batch_size):
             batch_ids = ids[start : start + batch_size]
             batch_mask = mask[start : start + batch_size]

@@ -12,7 +12,10 @@ instead).  Class predictions match the offline batched solver path (whose
 fixed-width forward can differ from a trimmed one only in the last ulp of
 the logits).
 
-Repeated traffic is cheaper still: a :class:`PredictionCache` keyed by the
+Repeated traffic is cheaper still.  Within a micro-batch, flows with the
+same encoded context are *coalesced*: the forward runs one row per distinct
+context and every flow gets its own copy of that row's logits.  Across
+batches, a :class:`PredictionCache` keyed by the
 encoded context (:attr:`~repro.serve.assembler.FlowRecord.cache_key` — the
 serving twin of the PR 4 wire-byte decode-cache discipline) returns the
 stored logits for flows the model has already seen, without any forward at
@@ -166,8 +169,13 @@ class InferenceEngine:
     and no row in a batch carries padding: the forward skips attention
     masking entirely — bit-identical (no position is masked) and measurably
     faster, since the mask materializes ``(batch, heads, seq, seq)``
-    temporaries.  The classifier is served as built; for the float32
-    packed-gemm path pass ``classifier.serving_build("float32")``.
+    temporaries.  Flows of one bucket with equal
+    :attr:`~repro.serve.assembler.FlowRecord.cache_key` share one forward
+    row (*coalescing*, counted as ``coalesced`` in :meth:`summary`): the
+    bucket's trigger, the cache puts, the output guard and the trace spans
+    all stay per flow, but a poisoned row reaches every flow on it.  The
+    classifier is served as built; for the float32 packed-gemm path pass
+    ``classifier.serving_build("float32")``.
 
     Cache keys are namespaced by the model build dtype: an engine caches
     and looks up under ``b"<dtype>:" + record.cache_key``, so a float32 and
@@ -371,9 +379,18 @@ class InferenceEngine:
         if not queue:
             return []
         records = [record for record, _, _ in queue]
-        width = max(len(record) for record in records)
-        ids = np.stack([record.token_ids[:width] for record in records])
-        mask = np.stack([record.attention_mask[:width] for record in records])
+        # Coalescing: one forward row per distinct context in the bucket.
+        row_of: dict[bytes, int] = {}
+        rows: list[int] = []  # flow -> its forward row
+        owners: list[int] = []  # forward row -> the flow it was stacked from
+        for j, record in enumerate(records):
+            row = row_of.setdefault(record.cache_key, len(owners))
+            if row == len(owners):
+                owners.append(j)
+            rows.append(row)
+        width = max(len(records[j]) for j in owners)
+        ids = np.stack([records[j].token_ids[:width] for j in owners])
+        mask = np.stack([records[j].attention_mask[:width] for j in owners])
         # Batch invariance (a lone row's logits matching the same row inside
         # any batch) is guaranteed for float64 builds by the classifier's
         # eval fast path, which runs singleton chunks as a duplicated pair
@@ -388,6 +405,10 @@ class InferenceEngine:
                 ids, None if mask.all() else mask, batch_size=len(ids)
             )
             t_done = tracer.clock() if tracer is not None else 0.0
+            # Fancy indexing gives every flow its own copy of its row, so a
+            # consumer mutating one prediction's logits never reaches a twin.
+            if len(owners) < len(records):
+                logits = logits[rows]
             # Poisoned-output scan happens before any row is cached or
             # emitted, so a fail_fast guard raise leaves the whole batch
             # pending exactly like a forward crash.
@@ -406,9 +427,9 @@ class InferenceEngine:
             self._born[bucket] = born
             raise
         self._pending -= len(queue)
-        self.report.observe_batch(len(records), trigger)
         done = self.report.mark_submit()
         predictions = []
+        coalesced = 0
         for j, ((record, submitted, trace_submit), row) in enumerate(
             zip(queue, logits)
         ):
@@ -427,6 +448,7 @@ class InferenceEngine:
             if self.cache is not None and not degraded:
                 self.cache.put(self.cache_key_for(record), row)
             self.report.observe(prediction)
+            coalesced += not degraded and owners[rows[j]] != j
             if tracer is not None:
                 tracer.record_span(
                     record.key, record.generation, "batched",
@@ -441,6 +463,7 @@ class InferenceEngine:
                     cached=False, degraded=degraded,
                 )
             predictions.append(prediction)
+        self.report.observe_batch(len(records), trigger, coalesced)
         return predictions
 
 

@@ -58,6 +58,7 @@ class ServingReport:
         self._flows = self.metrics.counter("serve.flows")
         self._packets = self.metrics.counter("serve.packets")
         self._cached = self.metrics.counter("serve.cached")
+        self._coalesced = self.metrics.counter("serve.coalesced")
         for name in _COUNTERS:
             self.metrics.counter(f"serve.resilience.{name}")
         self._triggers = {
@@ -92,6 +93,11 @@ class ServingReport:
     def cached(self) -> int:
         """Predictions served from the cache."""
         return int(self._cached.value)
+
+    @property
+    def coalesced(self) -> int:
+        """Predictions served from another pending flow's forward row."""
+        return int(self._coalesced.value)
 
     @property
     def batches(self) -> int:
@@ -131,11 +137,13 @@ class ServingReport:
             self._cached.inc()
         self._last_completion = time.perf_counter()
 
-    def observe_batch(self, size: int, trigger: str = "full") -> None:
-        """Record one model forward of ``size`` stacked flows, run because
-        of ``trigger`` (see :attr:`batches_by_trigger`)."""
+    def observe_batch(self, size: int, trigger: str = "full", coalesced: int = 0) -> None:
+        """Record one model forward of ``size`` flows, run because of
+        ``trigger`` (see :attr:`batches_by_trigger`); ``coalesced`` of them
+        were served from another flow's forward row (see :attr:`coalesced`)."""
         self._batch.observe(size)
         self._triggers[trigger].inc()
+        self._coalesced.inc(coalesced)
 
     def observe_oldest_pending(self, age: float) -> None:
         """Record the oldest pending flow's age, in stream-seconds, at one
@@ -168,6 +176,8 @@ class ServingReport:
 
         ``cache`` is the engine's :class:`~repro.serve.engine.PredictionCache`
         (or ``None``); its hit counters become ``cache_hit_rate``.
+        ``coalesced`` counts flows served from another pending flow's
+        forward row (see :class:`~repro.serve.engine.InferenceEngine`),
         ``batches_by_trigger`` splits ``batches`` by trigger, and
         ``oldest_pending_s`` is the largest oldest-pending-flow age recorded
         at any stream-clock advance (``None`` when the clock never moved).
@@ -195,6 +205,7 @@ class ServingReport:
                 self._oldest_pending.max if self._oldest_pending.samples
                 else None
             ),
+            "coalesced": self.coalesced,
             "cache_hit_rate": cache.hit_rate if cache is not None else None,
             "model_dtype": self.model_dtype,
             "numeric_policy": self.numeric_policy,

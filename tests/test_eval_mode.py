@@ -2,8 +2,10 @@
 
 ``SequenceClassifier.predict_logits_reference`` (the oracle the eval fast
 path is checked against), ``integrated_gradients``,
-``GRUClassifier.predict`` and ``MLPRegressor.predict`` switch to eval mode
-for their forward.  Afterwards every submodule must be back in the mode the
+``GRUClassifier.predict``, ``MLPRegressor.predict``, the few-shot
+``PrototypeClassifier`` embedder, ``Pretrainer.masked_token_accuracy`` and
+the ``repro.core.representation`` embedders switch to eval mode for their
+forward.  Afterwards every submodule must be back in the mode the
 caller had set — eval callers stay eval, train callers stay train — also
 when the forward raises.
 """
@@ -14,11 +16,16 @@ import numpy as np
 import pytest
 
 from repro.baselines import GRUClassifier, GRUClassifierConfig
+from repro.context.builders import Context
 from repro.core.config import NetFMConfig
+from repro.core.fewshot import PrototypeClassifier
 from repro.core.finetuning import FinetuneConfig, SequenceClassifier
 from repro.core.model import NetFoundationModel
+from repro.core.pretraining import Pretrainer
+from repro.core.representation import contextual_token_embeddings, sequence_embeddings
 from repro.interpret import integrated_gradients
 from repro.tasks import MLPRegressor, MLPRegressorConfig
+from repro.tokenize import Vocabulary
 
 VOCAB = 20
 IDS = np.random.default_rng(0).integers(0, VOCAB, (3, 6))
@@ -32,6 +39,51 @@ def _sequence_classifier():
         max_len=8, dropout=0.1, seed=3,
     ))
     return SequenceClassifier(model, 3, FinetuneConfig(dropout=0.1))
+
+
+def _foundation_model():
+    return NetFoundationModel(NetFMConfig(
+        vocab_size=VOCAB, d_model=16, num_heads=2, num_layers=1, d_ff=32,
+        max_len=8, dropout=0.1, seed=3,
+    ))
+
+
+def _contexts(tokens):
+    return [Context(tokens=list(t), segments=[0] * len(t), packets=[]) for t in tokens]
+
+
+# VOCABULARY fills the embedding table exactly (MLM's random replacement
+# draws from all of it); WIDE_VOCABULARY is wider, so encoding its last
+# tokens gives out-of-range ids that raise in the embedding lookup.
+VOCABULARY = Vocabulary([f"t{i}" for i in range(15)])
+WIDE_VOCABULARY = Vocabulary([f"t{i}" for i in range(2 * VOCAB)])
+assert len(VOCABULARY) == VOCAB
+CONTEXTS = _contexts([["t0", "t1", "t2"], ["t3", "t1"], ["t2", "t4", "t0", "t1"]])
+BAD_CONTEXTS = _contexts([[f"t{2 * VOCAB - i}" for i in range(1, 7)]])
+
+
+class _PretrainerModules:
+    """A pretrainer whose mode is its encoder's and MLM head's together."""
+
+    def __init__(self):
+        self.pretrainer = Pretrainer(_foundation_model(), VOCABULARY)
+        self.model = self.pretrainer.model
+        self.mlm_head = self.pretrainer.mlm_head
+
+    def accuracy(self, contexts, vocabulary=VOCABULARY):
+        self.pretrainer.vocabulary = vocabulary
+        return self.pretrainer.masked_token_accuracy(contexts)
+
+    @property
+    def training(self):
+        return self.model.training
+
+    def train(self, mode=True):
+        self.model.train(mode)
+        self.mlm_head.train(mode)
+
+    def named_children(self):
+        return [("model", self.model), ("mlm_head", self.mlm_head)]
 
 
 def _gru():
@@ -63,6 +115,26 @@ CASES = {
         lambda m: m.predict(np.zeros((5, 4))),
         lambda m: m.predict(np.zeros((5, 3))),  # width mismatch: raises
     ),
+    "prototype_embed": (
+        _foundation_model,
+        lambda m: PrototypeClassifier(m).fit(IDS, MASK, np.array([0, 1, 0])),
+        lambda m: PrototypeClassifier(m).fit(BAD_IDS, MASK, np.array([0, 1, 0])),
+    ),
+    "masked_token_accuracy": (
+        _PretrainerModules,
+        lambda m: m.accuracy(CONTEXTS),
+        lambda m: m.accuracy(BAD_CONTEXTS, WIDE_VOCABULARY),
+    ),
+    "contextual_token_embeddings": (
+        _foundation_model,
+        lambda m: contextual_token_embeddings(m, CONTEXTS, VOCABULARY),
+        lambda m: contextual_token_embeddings(m, BAD_CONTEXTS, WIDE_VOCABULARY),
+    ),
+    "sequence_embeddings": (
+        _foundation_model,
+        lambda m: sequence_embeddings(m, CONTEXTS, VOCABULARY),
+        lambda m: sequence_embeddings(m, BAD_CONTEXTS, WIDE_VOCABULARY),
+    ),
 }
 
 
@@ -93,3 +165,22 @@ def test_reference_keeps_an_eval_caller_deterministic():
     clf.eval()
     clf.predict_logits_reference(IDS, None)
     assert np.array_equal(clf(IDS).data, clf(IDS).data)
+
+
+def test_masked_token_accuracy_builds_no_tape():
+    # The accuracy forward runs under no_grad: the MLM logits it reads carry
+    # no tape, even when the caller left the modules in train mode.
+    modules = _PretrainerModules()
+    modules.train(True)
+    head, seen = modules.mlm_head, []
+    forward = head.forward
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        seen.append(out.requires_grad)
+        return out
+
+    head.forward = recording_forward
+    accuracy = modules.accuracy(CONTEXTS)
+    assert 0.0 <= accuracy <= 1.0
+    assert seen == [False]

@@ -370,6 +370,20 @@ class TestEvalFastPath:
         for fm, rm in zip(fast_maps, ref_maps):
             assert np.array_equal(fm, rm)
 
+    @pytest.mark.parametrize("batch", [2, 3, 7, 25])
+    @pytest.mark.parametrize("seq", [10, 31])
+    def test_wide_feed_forward_bit_identical(self, batch, seq):
+        """``d_ff`` 512 (the large serving model's width): float64 stays
+        bit-identical to the composed loop.  A float64 gemm row's bits can
+        depend on the row count M at this K on OpenBLAS, so the f64 forward
+        must keep running every position through every layer."""
+        model, _ = build_model_pair(d_model=64, num_heads=4, num_layers=1, d_ff=512, max_len=32)
+        clf = SequenceClassifier(model, 4, FinetuneConfig(dropout=0.0))
+        ids = np.random.default_rng(batch * 100 + seq).integers(0, 37, (batch, seq))
+        assert np.array_equal(
+            clf.predict_logits(ids, None), clf.predict_logits_reference(ids, None)
+        )
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_scratch_is_one_buffer_per_slot_across_shapes(self, dtype):
         """Serving many bucket shapes keeps one scratch buffer per slot, and
@@ -398,6 +412,58 @@ class TestEvalFastPath:
         after = clf.predict_logits(ids, None)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, clf.predict_logits_reference(ids, None))
+
+
+class TestFloat32ClsTail:
+    """Float32 runs the last layer past attention on the [CLS] rows only."""
+
+    def _pair(self, num_layers=2):
+        """(float32 serving build, float64 composed-oracle classifier)."""
+        fused, reference = build_model_pair(num_layers=num_layers, max_len=32)
+        clf = SequenceClassifier(fused, 4, FinetuneConfig(dropout=0.0))
+        oracle = SequenceClassifier(reference, 4, FinetuneConfig(dropout=0.0))
+        return clf.serving_build("float32"), oracle
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("seq", [1, 2, 3, 31])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_logits_within_budget_of_oracle(self, batch, seq, masked, num_layers, record):
+        f32, oracle = self._pair(num_layers)
+        f32.record_attention = record
+        rng = np.random.default_rng(batch * 1000 + seq)
+        ids = rng.integers(0, 37, (batch, seq))
+        mask = random_mask(rng, batch, seq) if masked else None
+        logits = f32.predict_logits(ids, mask)
+        expected = oracle.predict_logits_reference(ids, mask)
+        assert logits.dtype == np.float32
+        assert_within_ulp(logits, expected, ulp_budget("logits"), "f32 [CLS] tail")
+        assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_recorded_maps_are_those_of_the_full_layer(self, num_layers, masked):
+        """Every recorded map equals the same layer's map inside a deeper
+        model, where that layer runs uncut on every position."""
+        deep, _ = self._pair(num_layers + 1)
+        fused, _ = build_model_pair(num_layers=num_layers, max_len=32)
+        shallow = SequenceClassifier(fused, 4, FinetuneConfig(dropout=0.0))
+        extra = f".layers.items.{num_layers}."
+        shallow.load_state_dict(
+            {k: v for k, v in deep.state_dict().items() if extra not in k}
+        )
+        shallow = shallow.serving_build("float32")
+        rng = np.random.default_rng(num_layers)
+        ids = rng.integers(0, 37, (6, 17))
+        mask = random_mask(rng, 6, 17) if masked else None
+        shallow.predict_logits(ids, mask)
+        deep.predict_logits(ids, mask)
+        maps = shallow.model.attention_maps()
+        assert len(maps) == num_layers
+        for got, full in zip(maps, deep.model.attention_maps()):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, full)
 
 
 class TestFloat32Discipline:

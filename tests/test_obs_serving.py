@@ -28,6 +28,8 @@ from test_serve_scenarios import (
 )
 
 CHUNK_ROWS = 13
+#: Scenarios whose trace repeats a context inside one 64-flow bucket.
+REPEATING = ("attack", "enterprise")
 
 # Tracing-off references, computed once per scenario — against THIS module's
 # fixture instances.  Deliberately not test_serve_scenarios' shared cache:
@@ -102,6 +104,27 @@ class TestTracingIsObservationOnly:
         chunk_rows = chunk_rows or len(scenario["columns"])
         traced, _, _ = traced_serve(scenario, chunk_rows=chunk_rows)
         assert traced == reference(scenario, chunk_rows)
+
+
+    def test_bit_identical_with_in_bucket_repeats(self, scenario):
+        # No cache and 64-flow buckets: repeated contexts wait in the same
+        # bucket and share one forward row (coalescing).  Tracing must not
+        # change which flows share a row, nor a bit of what each is served.
+        def serve(tracer):
+            engine = make_engine(scenario, cache=None, batch_size=64, tracer=tracer)
+            predictions = list(serve_stream(
+                ColumnsSource(scenario["columns"], chunk_rows=CHUNK_ROWS),
+                make_assembler(scenario, tracer=tracer), engine,
+            ))
+            keys = sorted(prediction_key(p) for p in predictions)
+            return keys, engine.summary()["coalesced"]
+
+        plain, coalesced = serve(None)
+        tracer = TraceRecorder()
+        assert serve(tracer) == (plain, coalesced)
+        assert len(plain) == len(reference(scenario))
+        if scenario["name"] in REPEATING:
+            assert coalesced > 0
 
 
 class TestTraceCoversTheServedFlows:

@@ -444,10 +444,11 @@ class TestInferenceEngine:
         assert cache.get(b"c") is not None
 
 
-def length_record(key, length, t, vocab_size):
-    """A closed flow of exactly ``length`` tokens, closed at stream time ``t``."""
+def length_record(key, length, t, vocab_size, variant=0):
+    """A closed flow of exactly ``length`` tokens, closed at stream time ``t``;
+    records of one length share their context unless ``variant`` differs."""
     ids = np.zeros(MAX_TOKENS, dtype=np.int64)
-    ids[:length] = 5 + np.arange(length) % (vocab_size - 5)
+    ids[:length] = 5 + (np.arange(length) + variant) % (vocab_size - 5)
     mask = np.zeros(MAX_TOKENS, dtype=bool)
     mask[:length] = True
     return FlowRecord(
@@ -564,6 +565,157 @@ class TestMaxWaitDeadline:
     def test_rejects_negative_or_nan_max_wait(self, classifier, max_wait):
         with pytest.raises(ValueError, match="max_wait"):
             InferenceEngine(classifier, max_wait=max_wait)
+
+
+class CountingClassifier:
+    """Delegates ``predict_logits``; keeps the token rows of every call."""
+
+    def __init__(self, classifier):
+        self.classifier = classifier
+        self.calls: list[np.ndarray] = []
+
+    def predict_logits(self, token_ids, attention_mask, batch_size=64):
+        self.calls.append(np.array(token_ids))
+        return self.classifier.predict_logits(
+            token_ids, attention_mask, batch_size=batch_size
+        )
+
+
+def dns_query(t, name, txid, conn):
+    """One DNS query packet; queries differing only in ``txid`` and ``conn``
+    are separate flows with the same encoded context."""
+    from repro.net import DNSMessage, DNSQuestion
+
+    message = DNSMessage(transaction_id=txid, questions=[DNSQuestion(name)])
+    return build_packet(
+        t, "10.0.0.9", "10.0.0.53", "UDP", 5353, 53,
+        application=message, metadata={"connection_id": conn},
+    )
+
+
+class TestCoalescing:
+    """Flows of one bucket with equal contexts share one forward row."""
+
+    # (length, variant) per flow: bucket 6 holds contexts 0, 1, 2 three,
+    # two and one time(s); bucket 9 holds one context twice.
+    PLAN = [(6, 0), (6, 1), (6, 0), (6, 2), (6, 0), (6, 1), (9, 0), (9, 0)]
+
+    def _records(self, classifier):
+        vocab_size = classifier.model.config.vocab_size
+        return [
+            length_record(("flow", i), length, 0.0, vocab_size, variant)
+            for i, (length, variant) in enumerate(self.PLAN)
+        ]
+
+    def _serve(self, engine, records):
+        predictions = []
+        for record in records:
+            predictions.extend(engine.submit(record))
+        predictions.extend(engine.flush())
+        return predictions
+
+    def test_one_row_per_distinct_context(self, classifier):
+        stub = CountingClassifier(classifier)
+        engine = InferenceEngine(stub, batch_size=64, max_wait=math.inf)
+        records = self._records(classifier)
+        predictions = self._serve(engine, records)
+        # Every flow gets exactly one uncached prediction ...
+        assert sorted(p.record.key for p in predictions) == [
+            r.key for r in records
+        ]
+        assert not any(p.cached for p in predictions)
+        # ... from one forward per bucket over its distinct contexts.
+        assert [len(call) for call in stub.calls] == [3, 1]
+        for call in stub.calls:
+            assert len({row.tobytes() for row in call}) == len(call)
+        summary = engine.summary()
+        assert summary["flows"] == len(records)
+        assert summary["coalesced"] == len(records) - 4
+        assert summary["batches_by_trigger"]["flush"] == 2
+
+    def test_bucket_fills_by_flows(self, classifier):
+        # batch_size counts flows: four flows of one context fill a bucket
+        # of four, and its forward stacks a single row.
+        stub = CountingClassifier(classifier)
+        engine = InferenceEngine(stub, batch_size=4)
+        vocab_size = classifier.model.config.vocab_size
+        served = []
+        for i in range(4):
+            served.extend(engine.submit(length_record(i, 7, 0.0, vocab_size)))
+        assert [p.record.key for p in served] == [0, 1, 2, 3]
+        assert [len(call) for call in stub.calls] == [1]
+        assert engine.summary()["batches_by_trigger"]["full"] == 1
+        assert engine.summary()["coalesced"] == 3
+
+    def test_float64_logits_equal_each_flow_served_alone(self, classifier):
+        predictions = self._serve(
+            InferenceEngine(classifier, batch_size=64), self._records(classifier)
+        )
+        for prediction in predictions:
+            alone = InferenceEngine(classifier, batch_size=64)
+            alone.submit(prediction.record)
+            (expected,) = alone.flush()
+            assert prediction.logits.dtype == np.float64
+            assert np.array_equal(prediction.logits, expected.logits)
+
+    def test_each_flow_owns_its_logits(self, classifier):
+        cache = PredictionCache()
+        engine = InferenceEngine(classifier, batch_size=64, cache=cache)
+        predictions = self._serve(engine, self._records(classifier))
+        by_key = {p.record.key: p for p in predictions}
+        first, twin = by_key[("flow", 0)], by_key[("flow", 2)]
+        before = twin.logits.copy()
+        assert np.array_equal(first.logits, before)
+        first.logits += 1.0
+        assert np.array_equal(twin.logits, before)
+        assert np.array_equal(cache.get(engine.cache_key_for(twin.record)), before)
+
+    @pytest.mark.parametrize("policy", ["quarantine", "degrade"])
+    def test_poisoned_row_reaches_every_flow_on_it(self, policy):
+        from repro.serve import DeadLetterQueue, FaultPlan, FaultSpec
+
+        # Five flows share the first flow's context; three others differ in
+        # one name label of the same length, so all eight share one bucket.
+        names = ["printer.local"] * 3 + ["scanner.local", "printer.local"]
+        names += ["storage.local", "printer.local", "scanner.local"]
+        packets = [dns_query(0.1 * i, name, 0x1000 + i, i) for i, name in enumerate(names)]
+        columns = PacketColumns.from_packets(packets)
+        tokenizer = FieldAwareTokenizer()
+        builder = FlowContextBuilder(max_tokens=MAX_TOKENS)
+        vocabulary = Vocabulary.build(
+            [c.tokens for c in builder.build(packets, tokenizer)]
+        )
+        clf = SequenceClassifier(NetFoundationModel(NetFMConfig(
+            vocab_size=len(vocabulary), d_model=16, num_layers=1, num_heads=2,
+            d_ff=32, max_len=MAX_TOKENS, dropout=0.0, seed=0,
+        )), num_classes=3)
+        records = stream_records(columns, tokenizer, vocabulary, 2)
+        twins = {r.key for r in records if r.cache_key == records[0].cache_key}
+        assert len(twins) == 5 and len({r.cache_key for r in records}) == 3
+
+        engine = InferenceEngine(clf, batch_size=64)
+        dlq = DeadLetterQueue()
+        predictions = list(serve_stream(
+            ColumnsSource(columns, chunk_rows=2),
+            StreamingFlowAssembler(tokenizer, vocabulary, builder=builder),
+            engine, policy=policy, dead_letters=dlq,
+            fault_plan=FaultPlan((FaultSpec("logits", 0, "nan"),)),
+        ))
+        assert engine.summary()["batches"] == 1
+        # One dead letter per flow on the poisoned row.
+        assert sorted(entry.flow_key for entry in dlq) == sorted(twins)
+        healthy = [p for p in predictions if not p.degraded]
+        assert {p.record.key for p in healthy} == {r.key for r in records} - twins
+        assert all(np.isfinite(p.logits).all() for p in healthy)
+        if policy == "degrade":
+            degraded = [p for p in predictions if p.degraded]
+            assert {p.record.key for p in degraded} == twins
+            assert all(not p.logits.any() for p in degraded)
+        else:
+            assert len(predictions) == len(records) - len(twins)
+        # Packet conservation: served + dead-lettered == every input packet.
+        served_packets = sum(p.record.packet_count for p in healthy)
+        assert served_packets + dlq.packets == len(columns)
 
 
 class TestSources:
