@@ -19,14 +19,16 @@ multiply chain as ``Tensor.gelu``).
 
 Four serving contracts live here rather than in the engine or the kernels:
 
-* **Batch invariance.**  A 1-row forward takes a different BLAS path than
-  the same row inside a >=2-row batch (gemv-shaped kernels, last-ulp
-  drift).  ``EvalForward`` runs singleton chunks as a duplicated pair and
-  keeps row 0, so a float64 row's logits depend only on its own tokens and
-  the forward width — never on how a stream happened to fill a bucket or
-  where a chunk boundary fell.  Float32 packed gemms round differently per
-  batch shape, so a float32 row's logits can move in the last bits (within
-  the ``logits`` ulp budget) with the rows it is batched with.
+* **Batch invariance (float64).**  A 1-row forward takes a different BLAS
+  path than the same row inside a >=2-row batch (gemv-shaped kernels,
+  last-ulp drift).  ``EvalForward`` runs float64 singleton chunks as a
+  duplicated pair and keeps row 0, so a float64 row's logits depend only
+  on its own tokens and the forward width — never on how a stream happened
+  to fill a bucket or where a chunk boundary fell.  Float32 packed gemms
+  round differently per batch shape anyway, so a float32 row's logits can
+  move in the last bits (within the ``logits`` ulp budget) with the rows
+  it is batched with; a float32 singleton runs as one row, since pairing
+  it would buy no guarantee.
 * **[CLS]-only last layer (float32).**  The head reads only ``[CLS]``, so
   a float32 forward runs the last layer's attention over every position
   and then carries only the ``[CLS]`` rows through the rest of the layer,
@@ -100,14 +102,15 @@ class EvalForward:
         model = self.classifier.model
         pool = self._pool
         keep = ids.shape[0]
-        # Batch-invariance: run a lone row as a duplicated pair (see module
-        # docstring) and return only the first row's logits.
-        if keep == 1:
+        token_table = model.token_embedding.weight.data
+        dtype = token_table.dtype
+        # Float64 batch invariance: run a lone row as a duplicated pair (see
+        # module docstring) and return only the first row's logits.
+        if keep == 1 and dtype == np.float64:
             ids = np.concatenate([ids, ids], axis=0)
             if valid is not None:
                 valid = np.concatenate([valid, valid], axis=0)
 
-        token_table = model.token_embedding.weight.data
         if ids.size and (ids.min() < 0 or ids.max() >= token_table.shape[0]):
             raise IndexError(
                 f"token id out of range [0, {token_table.shape[0]}): "
@@ -115,7 +118,6 @@ class EvalForward:
             )
         b, s = ids.shape
         d = token_table.shape[1]
-        dtype = token_table.dtype
 
         # Embeddings: token gather + broadcast position add (same operand
         # pairs as the tiled-position composed path), then embedding norm.

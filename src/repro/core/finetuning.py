@@ -7,6 +7,7 @@ labelled examples (Section 2 of the paper).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from ..nn.data import pack_batches
 from ..nn.layers import Dropout, Linear
 from ..nn.losses import cross_entropy
 from ..nn.metrics import accuracy, macro_f1, weighted_f1
-from ..nn.module import Module
+from ..nn.module import Module, Parameter
 from ..nn.optim import AdamW
 from ..nn.schedules import WarmupLinearSchedule
 from ..nn.trainer import Trainer, TrainingHistory
@@ -109,23 +110,37 @@ class SequenceClassifier(Module):
     def serving_build(self, dtype: str = "float32") -> "SequenceClassifier":
         """A serving replica of this classifier built in ``dtype``.
 
-        The one-time cast the accelerated serving path documents: a fresh
-        model is constructed with ``serve_dtype=dtype`` and this
-        classifier's trained weights are loaded into it
-        (:meth:`~repro.nn.module.Module.load_state_dict` casts state to the
-        parameter dtype).  The original keeps training in float64 as the
-        reference; the replica's eval forwards take the packed float32
-        kernels under the documented-ulp policy (:mod:`repro.nn.numeric`).
-        ``serving_build("float64")`` is a plain replica (useful for
-        symmetric comparisons).
+        The one-time cast the accelerated serving path documents: each
+        parameter is cast to ``dtype`` once, into the replica's own array,
+        and the replica's model config carries ``serve_dtype=dtype``.  No
+        second model is constructed, so nothing is randomly initialized
+        only to be overwritten.  The replica carries the cast parameters,
+        ``record_attention`` and copies of this classifier's dropout
+        generator states; it carries no gradients, no recorded attention
+        maps, no eval fast path and no scratch buffers, and it starts in
+        train mode like a fresh build.  The original keeps training in
+        float64 as the reference; the replica's eval forwards take the
+        packed float32 kernels under the documented-ulp policy
+        (:mod:`repro.nn.numeric`).  ``serving_build("float64")`` is a plain
+        replica (useful for symmetric comparisons).
         """
-        dtype = str(np.dtype(dtype))
-        config = dataclasses.replace(self.model.config, serve_dtype=dtype)
-        replica = SequenceClassifier(
-            NetFoundationModel(config), self.num_classes, config=self.config
-        )
-        replica.load_state_dict(self.state_dict())
-        replica.record_attention = self.record_attention
+        dtype = np.dtype(dtype)
+        # deepcopy consults the memo before copying anything: every entry
+        # below is the replica's value for that source object.  A parameter
+        # maps to a fresh Parameter over its cast array (no gradient).
+        memo = {
+            id(self.model.config): dataclasses.replace(
+                self.model.config, serve_dtype=dtype.name
+            ),
+            id(self.config): self.config,
+            id(self._fastpath): None,
+        }
+        for param in self.parameters():
+            memo[id(param)] = Parameter(param.data.astype(dtype), name=param.name)
+        for layer in self.model.encoder.layers:
+            memo[id(layer.attention.last_attention)] = None
+        replica = copy.deepcopy(self, memo)
+        replica.train()
         return replica
 
     # ------------------------------------------------------------------
@@ -211,9 +226,10 @@ class SequenceClassifier(Module):
 
         With a fused model (the default) this dispatches to the tape-free
         :class:`~repro.core.fastpath.EvalForward`, which is bit-identical
-        to the module-graph loop below and additionally guarantees batch
-        invariance: a singleton chunk runs as a duplicated pair, so 1-row
-        logits match the same row served inside any batch.  The composed
+        to the module-graph loop below and additionally guarantees float64
+        batch invariance: a float64 singleton chunk runs as a duplicated
+        pair, so 1-row logits match the same row served inside any batch
+        (float32 builds hold the ``logits`` ulp budget instead).  The composed
         reference loop stays available as :meth:`predict_logits_reference`
         (and is used when ``config.fused`` is off).
 

@@ -461,13 +461,20 @@ class Pretrainer:
     # Evaluation helpers used by the scaling experiment (E12)
     # ------------------------------------------------------------------
     def masked_token_accuracy(self, contexts: Sequence[Context], samples: int = 64) -> float:
-        """Accuracy of MLM predictions on a held-out sample of contexts."""
+        """Accuracy of MLM predictions on a held-out sample of contexts.
+
+        The masks come from a generator seeded afresh from the config seed
+        on every call, never from the training generator: a probe between
+        :meth:`pretrain` calls leaves the next training run unchanged, and
+        two probes of the same model on the same contexts agree.
+        """
         if not contexts:
             return 0.0
         sample = list(contexts)[:samples]
         ids, mask = self._encode([c.tokens for c in sample])
         masked, targets, loss_mask = mask_tokens(
-            ids, mask, self.vocabulary, self._rng, self.config.mask_probability
+            ids, mask, self.vocabulary, np.random.default_rng(self.config.seed),
+            self.config.mask_probability,
         )
         with self.model.eval_mode(), self.mlm_head.eval_mode(), no_grad():
             hidden = self.model(masked, attention_mask=mask)

@@ -644,8 +644,9 @@ def eval_attention_packed(
     """QKV + SDPA with head-packed gemms (relaxed-ulp policy).
 
     BLAS sees a few large matrices instead of ``3 + 2 * b * h`` tiny ones:
-    the three projections run as one ``(b*s, d) @ (d, 3d)`` gemm, Q/K/V are
-    repacked head-major so the score and context matmuls are contiguous
+    the three projections run as ``(b*s, d) @ (d, d)`` gemms into one
+    pooled buffer, Q/K/V are repacked head-major (the bias added in the
+    same pass) so the score and context matmuls are contiguous
     ``(b*h, s, ·)`` batched gemms, and the softmax denominator is a single
     ``(b*h*s, s) @ (s,)`` gemv.  Three more reassociations keep the
     elementwise passes off the big ``(b*h, s, s)`` score matrix: the
@@ -666,29 +667,22 @@ def eval_attention_packed(
     scale = 1.0 / float(np.sqrt(dh))
     dt = data.dtype
 
-    # Packed projection: the per-call weight copy is O(d^2) against the
-    # O(b*s*d^2) gemm it enables, and re-reading the live weight arrays
-    # keeps the fast path's no-invalidation contract.
-    wqkv = pool.take("attp_wqkv", (d, 3 * d), dt)
-    np.copyto(wqkv[:, :d], wq)
-    np.copyto(wqkv[:, d:2 * d], wk)
-    np.copyto(wqkv[:, 2 * d:], wv)
-    bqkv = pool.take("attp_bqkv", (3 * d,), dt)
-    np.copyto(bqkv[:d], bq)
-    np.copyto(bqkv[d:2 * d], bk)
-    np.copyto(bqkv[2 * d:], bv)
-    qkv = pool.take("attp_qkv", (b * s, 3 * d), dt)
-    np.matmul(data.reshape(b * s, d), wqkv, out=qkv)
-    qkv += bqkv
-
-    # Head-major repack: (b, s, 3, h, dh) -> (3, b*h, s, dh) in one copy,
-    # so the batched gemms below run over contiguous 2D slices instead of
-    # the strided transpose views the bit-exact path hands to matmul.
+    # Projections: three (b*s, d) gemms into one pooled buffer, reading
+    # the live weight arrays (the fast path's no-invalidation contract).
+    x2 = data.reshape(b * s, d)
+    qkv = pool.take("attp_qkv", (3, b * s, d), dt)
+    # Head-major repack with the bias add: (b, s, h, dh) -> (b*h, s, dh)
+    # per projection, so the batched gemms below run over contiguous 2D
+    # slices instead of the strided transpose views the bit-exact path
+    # hands to matmul.
     packed = pool.take("attp_packed", (3, b * h, s, dh), dt)
-    np.copyto(
-        packed.reshape(3, b, h, s, dh),
-        qkv.reshape(b, s, 3, h, dh).transpose(2, 0, 3, 1, 4),
-    )
+    for i, (weight, bias) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+        np.matmul(x2, weight, out=qkv[i])
+        np.add(
+            qkv[i].reshape(b, s, h, dh).transpose(0, 2, 1, 3),
+            bias.reshape(h, 1, dh),
+            out=packed[i].reshape(b, h, s, dh),
+        )
     q3, k3, v3 = packed[0], packed[1], packed[2]
     q3 *= scale  # fold the score scale into Q: s*dh elements, not s*s
 

@@ -139,15 +139,14 @@ class Module:
         for name, param in own.items():
             if name not in state:
                 continue
-            if dtype == "param":
-                value = np.asarray(state[name], dtype=param.data.dtype)
-            else:
-                value = np.asarray(state[name])
+            # One fresh array per parameter: the cast (if any) is the copy.
+            target = param.data.dtype if dtype == "param" else None
+            value = np.array(state[name], dtype=target, copy=True)
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
                 )
-            param.data = value.copy()
+            param.data = value
 
 
 class ModuleList(Module):

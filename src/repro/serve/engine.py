@@ -212,10 +212,12 @@ class InferenceEngine:
         self.output_guard = None
         self.tracer = tracer
         self._completed_backlog: list[FlowPrediction] = []
-        # Bucket entries are (record, submitted, trace_submit): the report
-        # timestamp and, when tracing, the tracer-clock submit time the
-        # ``batched`` (queue-wait) span starts from.
-        self._buckets: dict[int, list[tuple[FlowRecord, float, float]]] = {}
+        # Bucket entries are (record, key, submitted, trace_submit): the
+        # record's ``cache_key`` (computed once per flow, it keys both the
+        # cache and coalescing), the report timestamp and, when tracing,
+        # the tracer-clock submit time the ``batched`` (queue-wait) span
+        # starts from.  A bucket's key is its flows' exact length.
+        self._buckets: dict[int, list[tuple[FlowRecord, bytes, float, float]]] = {}
         # bucket -> the stream clock when its oldest pending entry arrived
         # (-inf: it arrived before the clock was first advanced).
         self._born: dict[int, float] = {}
@@ -271,8 +273,9 @@ class InferenceEngine:
         tracer = self.tracer
         trace_submit = tracer.clock() if tracer is not None else 0.0
         completed: list[FlowPrediction] = []
+        key = record.cache_key
         if self.cache is not None:
-            logits = self.cache.get(self.cache_key_for(record))
+            logits = self.cache.get(self._cache_prefix + key)
             if logits is not None:
                 prediction = FlowPrediction(
                     record=record,
@@ -296,7 +299,7 @@ class InferenceEngine:
         if queue is None:
             queue = self._buckets[bucket] = []
             self._born[bucket] = self._clock
-        queue.append((record, submitted, trace_submit))
+        queue.append((record, key, submitted, trace_submit))
         self._pending += 1
         try:
             if len(queue) >= self.batch_size:
@@ -378,19 +381,19 @@ class InferenceEngine:
         born = self._born.pop(bucket, None)
         if not queue:
             return []
-        records = [record for record, _, _ in queue]
+        records = [record for record, _, _, _ in queue]
         # Coalescing: one forward row per distinct context in the bucket.
         row_of: dict[bytes, int] = {}
         rows: list[int] = []  # flow -> its forward row
         owners: list[int] = []  # forward row -> the flow it was stacked from
-        for j, record in enumerate(records):
-            row = row_of.setdefault(record.cache_key, len(owners))
+        for j, (_, key, _, _) in enumerate(queue):
+            row = row_of.setdefault(key, len(owners))
             if row == len(owners):
                 owners.append(j)
             rows.append(row)
-        width = max(len(records[j]) for j in owners)
-        ids = np.stack([records[j].token_ids[:width] for j in owners])
-        mask = np.stack([records[j].attention_mask[:width] for j in owners])
+        # Every flow in the bucket has exactly the bucket's length.
+        ids = np.stack([records[j].token_ids[:bucket] for j in owners])
+        mask = np.stack([records[j].attention_mask[:bucket] for j in owners])
         # Batch invariance (a lone row's logits matching the same row inside
         # any batch) is guaranteed for float64 builds by the classifier's
         # eval fast path, which runs singleton chunks as a duplicated pair
@@ -430,7 +433,7 @@ class InferenceEngine:
         done = self.report.mark_submit()
         predictions = []
         coalesced = 0
-        for j, ((record, submitted, trace_submit), row) in enumerate(
+        for j, ((record, key, submitted, trace_submit), row) in enumerate(
             zip(queue, logits)
         ):
             action = actions.get(j)
@@ -446,7 +449,7 @@ class InferenceEngine:
             # Never cache fallback logits: a later identical flow must get a
             # real forward, not a poisoned hit.
             if self.cache is not None and not degraded:
-                self.cache.put(self.cache_key_for(record), row)
+                self.cache.put(self._cache_prefix + key, row)
             self.report.observe(prediction)
             coalesced += not degraded and owners[rows[j]] != j
             if tracer is not None:

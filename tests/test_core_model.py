@@ -158,6 +158,34 @@ class TestPretrainer:
         accuracy = pretrainer.masked_token_accuracy(contexts, samples=32)
         assert 0.0 <= accuracy <= 1.0
 
+    def test_accuracy_probe_leaves_training_unchanged(self, small_contexts):
+        contexts, vocab = small_contexts
+        contexts = contexts[:40]
+
+        def run(probe: bool) -> list[float]:
+            model = NetFoundationModel(tiny_config(vocab_size=len(vocab), max_len=48))
+            pretrainer = Pretrainer(
+                model, vocab, PretrainingConfig(epochs=1, batch_size=16, seed=0)
+            )
+            losses = list(pretrainer.pretrain(contexts).losses)
+            if probe:
+                pretrainer.masked_token_accuracy(contexts, samples=16)
+            return losses + list(pretrainer.pretrain(contexts).losses)
+
+        assert run(probe=True) == run(probe=False)
+
+    def test_repeated_accuracy_probes_agree(self, small_contexts):
+        contexts, vocab = small_contexts
+        model = NetFoundationModel(tiny_config(vocab_size=len(vocab), max_len=48))
+        pretrainer = Pretrainer(
+            model, vocab, PretrainingConfig(epochs=3, batch_size=16, seed=0)
+        )
+        pretrainer.pretrain(contexts[:60])
+        first = pretrainer.masked_token_accuracy(contexts, samples=32)
+        assert first > 0.0
+        for _ in range(3):
+            assert pretrainer.masked_token_accuracy(contexts, samples=32) == first
+
     def test_qa_objective_requires_packets(self, small_contexts):
         contexts, vocab = small_contexts
         model = NetFoundationModel(tiny_config(vocab_size=len(vocab), max_len=48))

@@ -18,6 +18,7 @@ preserve the serving dtype, and config validation.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.nn import (
     no_grad,
     save_checkpoint,
 )
+from repro.nn import init
 from repro.nn.kernels import (
     GrowingScratchPool,
     eval_attention,
@@ -423,6 +425,143 @@ class TestServingBuild:
         )
         model = NetFoundationModel(config)
         assert all(p.data.dtype == np.float32 for p in model.parameters())
+
+
+def _used_classifier():
+    """A float64 classifier carrying everything a replica must not: moved
+    weights, gradients, recorded attention maps, an eval fast path and
+    filled scratch pools — left in eval mode."""
+    classifier = _build_classifier()
+    rng = np.random.default_rng(3)
+    for param in classifier.parameters():
+        param.data += rng.normal(0.0, 0.01, param.data.shape)
+    ids = rng.integers(0, 37, (4, 12))
+    classifier(ids).sum().backward()
+    classifier.eval()
+    classifier.predict_logits(ids, None)
+    return classifier
+
+
+def _replica_by_construction(source, dtype):
+    """The serving replica built by constructing a second model and
+    loading the source's state into it (the reference for the cast)."""
+    config = dataclasses.replace(source.model.config, serve_dtype=dtype)
+    replica = SequenceClassifier(
+        NetFoundationModel(config), source.num_classes, config=source.config
+    )
+    replica.load_state_dict(source.state_dict())
+    replica.record_attention = source.record_attention
+    return replica
+
+
+class TestServingReplica:
+    """What a serving replica carries, and what it must not share."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_state_is_the_cast_source(self, dtype):
+        source = _used_classifier()
+        replica = source.serving_build(np.dtype(dtype).name)
+        state, expected = replica.state_dict(), source.state_dict()
+        assert list(state) == list(expected)
+        for name, value in expected.items():
+            assert state[name].dtype == dtype
+            assert np.array_equal(state[name], value.astype(dtype)), name
+        assert replica.model.config.serve_dtype == np.dtype(dtype).name
+        assert source.model.config.serve_dtype == "float64"
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_no_array_is_shared(self, dtype):
+        source = _used_classifier()
+        replica = source.serving_build(np.dtype(dtype).name)
+        pairs = list(zip(source.parameters(), replica.parameters()))
+        for theirs, ours in pairs:
+            assert not np.shares_memory(theirs.data, ours.data)
+        before = replica.state_dict()
+        for theirs, _ in pairs:
+            theirs.data += 1.0
+        assert all(
+            np.array_equal(value, replica.state_dict()[name])
+            for name, value in before.items()
+        )
+        before = source.state_dict()
+        for _, ours in pairs:
+            ours.data *= 0.0
+        assert all(
+            np.array_equal(value, source.state_dict()[name])
+            for name, value in before.items()
+        )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_carries_no_grads_maps_fastpath_or_scratch(self, dtype):
+        source = _used_classifier()
+        # Every parameter but the (unused) segment table has a gradient.
+        graded = [p for p in source.parameters() if p.grad is not None]
+        assert len(graded) == len(source.parameters()) - 1
+        assert source.model.attention_maps() and source._fastpath is not None
+        replica = source.serving_build(np.dtype(dtype).name)
+        assert all(p.grad is None and not p.has_grad for p in replica.parameters())
+        assert replica.model.attention_maps() == []
+        assert replica._fastpath is None
+        pools = [replica.model.embedding_norm._pool, replica.model.encoder.final_norm._pool]
+        for layer in replica.model.encoder.layers:
+            pools += [layer.norm1._pool, layer.norm2._pool, layer.attention._pool]
+        assert all(pool._buffers == {} for pool in pools)
+        # Train mode, as a freshly constructed build starts in.
+        assert replica.training and replica.model.encoder.layers[0].attention.training
+        # Dropout generators are copies of the source's, not the same objects.
+        assert replica.dropout.rng is not source.dropout.rng
+        assert (
+            replica.dropout.rng.bit_generator.state
+            == source.dropout.rng.bit_generator.state
+        )
+        # The source keeps what it had.
+        assert all(p.grad is not None for p in graded)
+        assert source.model.attention_maps() and source._fastpath is not None
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("record", [True, False])
+    def test_logits_equal_a_replica_built_by_construction(self, dtype, record):
+        source = _used_classifier()
+        source.record_attention = record
+        name = np.dtype(dtype).name
+        replica = source.serving_build(name)
+        reference = _replica_by_construction(source, name)
+        assert replica.record_attention is record
+        rng = np.random.default_rng(8)
+        for batch, seq in [(1, 7), (2, 1), (5, 16), (9, 33)]:
+            ids = rng.integers(0, 37, (batch, seq))
+            mask = np.ones((batch, seq), dtype=bool)
+            mask[0, seq // 2 + 1 :] = False
+            assert np.array_equal(
+                replica.predict_logits(ids, mask), reference.predict_logits(ids, mask)
+            )
+            ours, theirs = replica.model.attention_maps(), reference.model.attention_maps()
+            assert len(ours) == len(theirs) == (2 if record else 0)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+    def test_builds_without_random_init(self, monkeypatch):
+        source = _used_classifier()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a serving build must not initialize weights")
+
+        monkeypatch.setattr(init, "xavier_uniform", refuse)
+        monkeypatch.setattr(init, "normal", refuse)
+        for dtype in ("float32", "float64"):
+            replica = source.serving_build(dtype)
+            assert replica.model_dtype == dtype
+
+    @pytest.mark.parametrize("mode", ["param", "state"])
+    def test_load_state_dict_owns_its_arrays(self, mode):
+        classifier = _build_classifier()
+        state = {name: value.astype(np.float32) for name, value in
+                 _build_classifier(seed=8).state_dict().items()}
+        classifier.load_state_dict(state, dtype=mode)
+        want = np.float64 if mode == "param" else np.float32
+        for name, param in classifier.named_parameters():
+            assert param.data.dtype == want
+            assert np.array_equal(param.data, state[name].astype(want))
+            assert not np.shares_memory(param.data, state[name])
 
 
 class TestCheckpointDtypeRoundTrip:

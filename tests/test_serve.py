@@ -647,6 +647,40 @@ class TestCoalescing:
         assert engine.summary()["batches_by_trigger"]["full"] == 1
         assert engine.summary()["coalesced"] == 3
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_each_flow_is_keyed_and_measured_once(self, classifier, monkeypatch, cached):
+        # The bucket key is the flow's exact length and the flow's cache key
+        # rides in its bucket entry: neither is recomputed per lookup,
+        # coalescing pass or cache put.
+        records = self._records(classifier)
+        calls = {"len": 0, "cache_key": 0}
+        length, cache_key = FlowRecord.__len__, FlowRecord.cache_key.fget
+
+        def counting_len(record):
+            calls["len"] += 1
+            return length(record)
+
+        def counting_key(record):
+            calls["cache_key"] += 1
+            return cache_key(record)
+
+        monkeypatch.setattr(FlowRecord, "__len__", counting_len)
+        monkeypatch.setattr(FlowRecord, "cache_key", property(counting_key))
+        engine = InferenceEngine(
+            classifier, batch_size=4, max_wait=math.inf,
+            cache=PredictionCache() if cached else None,
+        )
+        # A second pass over a warm cache serves every flow as a hit.
+        hits = 0
+        for _ in range(1 + cached):
+            predictions = self._serve(engine, records)
+            assert sorted(p.record.key for p in predictions) == [r.key for r in records]
+            hits += sum(p.cached for p in predictions)
+        served = len(records) * (1 + cached)
+        assert hits >= (len(records) if cached else 0)
+        # One cache key per flow; one length per flow that joined a bucket.
+        assert calls == {"len": served - hits, "cache_key": served}
+
     def test_float64_logits_equal_each_flow_served_alone(self, classifier):
         predictions = self._serve(
             InferenceEngine(classifier, batch_size=64), self._records(classifier)
