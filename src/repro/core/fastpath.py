@@ -62,19 +62,22 @@ class EvalForward:
     autograd overhead.  Not a
     Module: it owns no parameters, only scratch buffers sized by the largest
     batch shape, and never touches the train/eval flags of the model it reads.
+    The classifier it serves is passed in on every call rather than stored,
+    so the classifier that owns this object forms no reference cycle with
+    it: dropping the classifier frees its scratch buffers at once, not at
+    the next cyclic garbage collection.
     """
 
-    def __init__(self, classifier):
-        self.classifier = classifier
+    def __init__(self):
         self._pool = GrowingScratchPool()
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
     def __call__(
-        self, token_ids: np.ndarray, attention_mask: np.ndarray | None, batch_size: int = 64
+        self, classifier, token_ids: np.ndarray, attention_mask: np.ndarray | None,
+        batch_size: int = 64,
     ) -> np.ndarray:
-        classifier = self.classifier
         model = classifier.model
         token_ids = np.asarray(token_ids, dtype=np.int64)
         dtype = model.token_embedding.weight.data.dtype
@@ -92,14 +95,18 @@ class EvalForward:
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
             chunk_valid = valid[start:stop] if valid is not None else None
-            out[start:stop] = self._forward_chunk(token_ids[start:stop], chunk_valid)
+            out[start:stop] = self._forward_chunk(
+                classifier, token_ids[start:stop], chunk_valid
+            )
         return out
 
     # ------------------------------------------------------------------
     # One micro-batch
     # ------------------------------------------------------------------
-    def _forward_chunk(self, ids: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
-        model = self.classifier.model
+    def _forward_chunk(
+        self, classifier, ids: np.ndarray, valid: np.ndarray | None
+    ) -> np.ndarray:
+        model = classifier.model
         pool = self._pool
         keep = ids.shape[0]
         token_table = model.token_embedding.weight.data
@@ -142,7 +149,7 @@ class EvalForward:
         # it; maps are then cleared, so a stale read fails loudly
         # (``attention_maps()`` returns ``[]``) instead of silently
         # returning a previous batch's weights.
-        record = getattr(self.classifier, "record_attention", True)
+        record = getattr(classifier, "record_attention", True)
         blk = pool.take("blk", (b, s, d), dtype)
         layers = model.encoder.layers
         # Float32 [CLS]-only tail: after the last layer's attention (queries
@@ -186,7 +193,7 @@ class EvalForward:
 
         # [CLS] slice (a strided view, as in the module path) -> head.
         cls = y[:, 0, :]
-        head = self.classifier.head
+        head = classifier.head
         logits = cls @ head.weight.data
         logits += head.bias.data
         return logits[:keep]

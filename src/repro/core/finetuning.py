@@ -241,8 +241,8 @@ class SequenceClassifier(Module):
             if self._fastpath is None:
                 from .fastpath import EvalForward
 
-                self._fastpath = EvalForward(self)
-            return self._fastpath(token_ids, attention_mask, batch_size=batch_size)
+                self._fastpath = EvalForward()
+            return self._fastpath(self, token_ids, attention_mask, batch_size=batch_size)
         return self.predict_logits_reference(token_ids, attention_mask, batch_size)
 
     def predict_logits_reference(

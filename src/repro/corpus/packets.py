@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -123,7 +122,6 @@ class PacketTraceCorpus:
         directory: str | Path,
         shard_rows: int = 4096,
         label_keys: Sequence[str] = ("application",),
-        workers: int | None = None,
     ) -> Path:
         """Write the corpus as ``shard-%05d.npz`` files plus a manifest.
 
@@ -136,12 +134,9 @@ class PacketTraceCorpus:
         version, per-shard row counts and a label vocabulary summary so
         tooling can validate a corpus without unpickling it.
 
-        ``workers`` > 1 writes shards through a thread pool (shard slicing
-        and serialization are independent; NumPy column gathers and file
-        writes release the GIL).  The manifest is written last in every
-        case, only after all shard files are on disk — a reader that finds a
-        manifest can rely on every shard it names existing — and its
-        contents are identical to a serial write.
+        The manifest is written last, only after all shard files are on
+        disk, so a reader that finds a manifest can rely on every shard it
+        names existing.
         """
         if shard_rows <= 0:
             raise ValueError("shard_rows must be positive")
@@ -149,9 +144,8 @@ class PacketTraceCorpus:
         directory.mkdir(parents=True, exist_ok=True)
         columns = self.columns
         n = len(columns)
-
-        def write_shard(task: tuple[int, int]) -> dict:
-            index, start = task
+        shards = []
+        for index, start in enumerate(range(0, n, shard_rows)):
             stop = min(start + shard_rows, n)
             part = columns[start:stop]
             payload = {name: getattr(part, name) for name in _ARRAY_FIELDS}
@@ -165,19 +159,12 @@ class PacketTraceCorpus:
                 payload[name] = np.array(value, dtype=object)
             filename = f"shard-{index:05d}.npz"
             np.savez(directory / filename, **payload)
-            return {
+            shards.append({
                 "file": filename,
                 "rows": stop - start,
                 "start": start,
                 "payload_width": int(part.payload.shape[1]),
-            }
-
-        tasks = list(enumerate(range(0, n, shard_rows)))
-        if workers is not None and workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                shards = list(pool.map(write_shard, tasks))
-        else:
-            shards = [write_shard(task) for task in tasks]
+            })
         vocabulary = {
             key: sorted({str(v) for v in self.labels(key) if v is not None})
             for key in label_keys

@@ -385,8 +385,9 @@ def unpack_message_cached(data: bytes, cache: dict) -> DNSMessage:
             answer, offset = _decode_answer_cached(data, offset, name_cache)
             message.answers.append(answer)
     except (ValueError, IndexError) as error:
-        # The kinds the opportunistic decoder turns into None; struct.error
-        # propagates uncached, exactly like DNSMessage.unpack.
+        # Memoized malformed kinds; struct.error (which the opportunistic
+        # decoder also turns into None) propagates uncached, exactly like
+        # DNSMessage.unpack.
         messages[suffix] = error
         raise
     messages[suffix] = (

@@ -31,6 +31,7 @@ True
 from __future__ import annotations
 
 import dataclasses
+import struct
 from typing import Any
 
 from .dns import DNSMessage
@@ -45,6 +46,13 @@ __all__ = ["Packet", "build_packet", "parse_packet"]
 _TCP = IP_PROTOCOL_NUMBERS["TCP"]
 _UDP = IP_PROTOCOL_NUMBERS["UDP"]
 _ICMP = IP_PROTOCOL_NUMBERS["ICMP"]
+
+#: What the application decoders raise on a malformed or short payload; the
+#: opportunistic decode turns each of these into "no application layer".
+#: ``struct.error`` comes from fixed-width fields cut short (DNS question
+#: and answer tails, TLS hello fields); ``UnicodeDecodeError`` is a
+#: ``ValueError``.
+MALFORMED_PAYLOAD_ERRORS = (ValueError, IndexError, struct.error)
 
 
 @dataclasses.dataclass
@@ -264,6 +272,6 @@ def _decode_application(transport, payload: bytes) -> Any:
                     return TLSServerHello.unpack(payload)
         if 123 in ports:
             return NTPPacket.unpack(payload)
-    except (ValueError, IndexError, UnicodeDecodeError):
+    except MALFORMED_PAYLOAD_ERRORS:
         return None
     return None

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-import threading
 from pathlib import Path
 from typing import Iterable
 
@@ -52,7 +51,7 @@ from .columns import (
 from .dns import DNSMessage, unpack_message_cached
 from .http import HTTPRequest, HTTPResponse
 from .ntp import NTPPacket
-from .packet import Packet, parse_packet
+from .packet import MALFORMED_PAYLOAD_ERRORS, Packet, parse_packet
 from .tls import TLSClientHello, TLSServerHello, unpack_hello_cached
 
 __all__ = [
@@ -221,12 +220,13 @@ def _decode_rows(
 
     Mirrors :func:`repro.net.packet._decode_application` exactly — including
     the branch precedence (DNS, then HTTP, then TLS falling through to NTP)
-    and the blanket ``except`` that turns malformed payloads into ``None`` —
-    but dispatches on pre-classified rows and memoizes decodes by payload
-    bytes, so repeated payloads (retransmissions, repeated queries) are
-    decoded once.  ``payloads`` holds the rows' payload bytes (parallel to
-    ``rows``); the eager reader slices them from the file buffer, the lazy
-    path from the payload matrix — identical bytes either way.
+    and the ``except MALFORMED_PAYLOAD_ERRORS`` that turns malformed payloads
+    into ``None`` — but dispatches on pre-classified rows and memoizes
+    decodes by payload bytes, so repeated payloads (retransmissions,
+    repeated queries) are decoded once.  ``payloads`` holds the rows'
+    payload bytes (parallel to ``rows``); the eager reader slices them from
+    the file buffer, the lazy path from the payload matrix — identical bytes
+    either way.
     """
     if branch == "dns":
         # DNS gets its own sub-message memoization (whole message modulo the
@@ -237,7 +237,7 @@ def _decode_rows(
         for i, payload in zip(rows.tolist(), payloads):
             try:
                 app = unpack_message_cached(payload, dns_cache)
-            except (ValueError, IndexError, UnicodeDecodeError):
+            except MALFORMED_PAYLOAD_ERRORS:
                 continue
             applications[i] = app
             app_kind[i] = APP_DNS
@@ -270,7 +270,7 @@ def _decode_rows(
                         app = NTPPacket.unpack(payload)
                 else:  # ntp
                     app = NTPPacket.unpack(payload)
-            except (ValueError, IndexError, UnicodeDecodeError):
+            except MALFORMED_PAYLOAD_ERRORS:
                 app = None
             cache[key] = app
         if app is not None:
@@ -292,13 +292,9 @@ _APP_KIND_BY_TYPE = {
 _BRANCH_NONE = 0
 _BRANCH_NAMES = ("dns", "http", "tls", "ntp")
 
-#: Serializes deferred decodes (threaded consumers — e.g. parallel shard
-#: writes over a lazily parsed corpus — may race on the same batch).
-_DECODE_LOCK = threading.Lock()
-#: Thread-local "return raw stores" mode used while select/concat gather
-#: fields of a pending batch; thread-local so one thread's gather cannot
-#: unmask another thread's decode trigger.
-_RAW_MODE = threading.local()
+#: "Return raw stores" mode, set while select/concat gather the fields of a
+#: pending batch so the gather does not trigger the decode.
+_RAW_MODE = False
 
 
 class LazyDecodeColumns(PacketColumns):
@@ -330,7 +326,7 @@ class LazyDecodeColumns(PacketColumns):
     @property
     def applications(self):
         d = self.__dict__
-        if d.get("_lazy") is not None and not getattr(_RAW_MODE, "active", False):
+        if d.get("_lazy") is not None and not _RAW_MODE:
             self._decode_applications()
         return d["applications"]
 
@@ -341,7 +337,7 @@ class LazyDecodeColumns(PacketColumns):
     @property
     def app_kind(self):
         d = self.__dict__
-        if d.get("_lazy") is not None and not getattr(_RAW_MODE, "active", False):
+        if d.get("_lazy") is not None and not _RAW_MODE:
             self._decode_applications()
         return d["app_kind"]
 
@@ -355,28 +351,21 @@ class LazyDecodeColumns(PacketColumns):
         return self.__dict__.get("_lazy") is not None
 
     def _decode_applications(self) -> None:
-        with _DECODE_LOCK:
-            # Re-check under the lock: a concurrent reader may have decoded
-            # (or be the one that will) — the pending state is popped only
-            # after the decode completes, so readers never see torn columns.
-            state = self.__dict__.get("_lazy")
-            if state is None:
-                return
-            branch, cache = state
-            d = self.__dict__
-            applications, app_kind = d["applications"], d["app_kind"]
-            payload, lengths = self.payload, self.payload_lengths
-            for code, name in enumerate(_BRANCH_NAMES, start=1):
-                rows = np.flatnonzero(branch == code)
-                if len(rows):
-                    payloads = [
-                        payload[i, : lengths[i]].tobytes() for i in rows.tolist()
-                    ]
-                    _decode_rows(
-                        name, rows, payloads, self.src_port, self.dst_port,
-                        applications, app_kind, cache,
-                    )
-            del d["_lazy"]
+        d = self.__dict__
+        branch, cache = d["_lazy"]
+        applications, app_kind = d["applications"], d["app_kind"]
+        payload, lengths = self.payload, self.payload_lengths
+        for code, name in enumerate(_BRANCH_NAMES, start=1):
+            rows = np.flatnonzero(branch == code)
+            if len(rows):
+                payloads = [
+                    payload[i, : lengths[i]].tobytes() for i in rows.tolist()
+                ]
+                _decode_rows(
+                    name, rows, payloads, self.src_port, self.dst_port,
+                    applications, app_kind, cache,
+                )
+        del d["_lazy"]
 
     def _attach_lazy(self, branch: np.ndarray, cache: dict) -> "LazyDecodeColumns":
         if branch.any():
@@ -388,11 +377,12 @@ class LazyDecodeColumns(PacketColumns):
         state = self.__dict__.get("_lazy")
         if state is None:
             return super().select(rows)
-        _RAW_MODE.active = True
+        global _RAW_MODE
+        _RAW_MODE = True
         try:
             selected = super().select(rows)
         finally:
-            _RAW_MODE.active = False
+            _RAW_MODE = False
         branch, cache = state
         return selected._attach_lazy(
             branch[np.asarray(rows, dtype=np.int64)], cache
@@ -404,11 +394,12 @@ class LazyDecodeColumns(PacketColumns):
         states = [part.__dict__.get("_lazy") for part in parts]
         if len(parts) <= 1 or not any(state is not None for state in states):
             return super().concat(parts)
-        _RAW_MODE.active = True
+        global _RAW_MODE
+        _RAW_MODE = True
         try:
             merged = super().concat(parts)
         finally:
-            _RAW_MODE.active = False
+            _RAW_MODE = False
         branch = np.concatenate([
             state[0] if state is not None
             else np.zeros(len(part), dtype=np.int64)

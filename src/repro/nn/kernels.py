@@ -92,7 +92,7 @@ class KernelProfiler:
 
     Surfaces through a :class:`repro.obs.metrics.MetricsRegistry` (its own
     by default, or one passed in so serving/training metrics and kernel
-    profiles share a single mergeable registry):
+    profiles share a single registry):
 
     * ``kernel.<name>.calls`` / ``kernel.<name>.wall_s`` — one counter pair
       per fused or packed kernel entry point; backward passes profile

@@ -58,8 +58,8 @@ class TrainingHistory:
         """Express this history over a :class:`repro.obs.metrics.MetricsRegistry`.
 
         Scalar totals become ``train.*`` counters and the per-step series
-        become bounded log-scale histograms — the same mergeable, JSON-
-        exportable shapes the serving report uses, so training and serving
+        become bounded log-scale histograms — the same JSON-exportable
+        shapes the serving report uses, so training and serving
         telemetry fold into one registry.  Pass a registry to accumulate
         into (e.g. across fits); a fresh one is created otherwise.
         """

@@ -1,11 +1,10 @@
-"""Unified observability: mergeable metrics, per-flow traces, kernel profiles.
+"""Unified observability: bounded metrics, per-flow traces, kernel profiles.
 
 Three surfaces, one substrate:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges
   and fixed-bucket log-scale histograms.  Bounded memory (O(buckets), never
-  O(observations)), exactly mergeable (one engine's report registry folds
-  into another's), exportable as JSON.
+  O(observations)), exportable as JSON.
   :class:`repro.serve.report.ServingReport` and
   :class:`repro.nn.trainer.TrainingHistory` are both expressed over it.
 * :mod:`repro.obs.trace` — :class:`TraceRecorder` collecting per-flow spans

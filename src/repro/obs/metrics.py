@@ -1,7 +1,7 @@
-"""Bounded-memory, exactly mergeable metrics: counters, gauges, histograms.
+"""Bounded-memory metrics: counters, gauges, histograms.
 
 The O&M-metrics operating model (PAPERS.md: operators localize hotspots
-from per-stage operational counters, not packet inspection) needs three
+from per-stage operational counters, not packet inspection) needs two
 properties from the telemetry substrate that ad-hoc Python lists do not
 have:
 
@@ -10,12 +10,6 @@ have:
   O(observations).  The :class:`Histogram` here is a fixed-bucket log-scale
   histogram — a few hundred int64 bucket counts plus exact count/sum/min/max
   — so a million observations costs the same memory as ten.
-* **Exact mergeability.**  Independently accounted registries (the
-  reports of several engines, say) are folded at the end.  Counter merges
-  are sums, histogram merges are bucket-wise sums (same fixed bucket
-  layout everywhere), gauge merges combine min/max — all commutative and
-  associative, so any merge order over any number of registries yields the
-  identical registry.
 * **JSON export.**  Every metric snapshots to a plain-JSON dict
   (:meth:`MetricsRegistry.to_dict` / :meth:`MetricsRegistry.to_json`), the
   machine surface ``BENCH_e14.json`` and the trace tooling consume.
@@ -39,7 +33,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
-    """A monotonically accumulating value (int or float); merge is ``+``."""
+    """A monotonically accumulating value (int or float)."""
 
     __slots__ = ("name", "value")
 
@@ -50,9 +44,6 @@ class Counter:
     def inc(self, n=1) -> None:
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self.value}
 
@@ -61,10 +52,7 @@ class Gauge:
     """A point-in-time level with exact min/max envelope.
 
     ``set`` records the latest level; the envelope (``min``/``max``) and the
-    sample count are exact.  Merging combines the envelopes and takes the
-    **max** of the two latest levels — the only commutative choice that
-    keeps "worst level seen anywhere" meaningful across merged registries,
-    where "latest" has no global order.
+    sample count are exact.
     """
 
     __slots__ = ("name", "value", "min", "max", "samples")
@@ -85,17 +73,6 @@ class Gauge:
             self.max = value
         self.samples += 1
 
-    def merge(self, other: "Gauge") -> None:
-        if other.samples == 0:
-            return
-        if self.samples == 0:
-            self.value = other.value
-        else:
-            self.value = max(self.value, other.value)
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.samples += other.samples
-
     def snapshot(self) -> dict:
         return {
             "type": "gauge",
@@ -107,17 +84,16 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket log-scale histogram: O(buckets) memory, exact merges.
+    """Fixed-bucket log-scale histogram: O(buckets) memory.
 
     Buckets are geometric with ``bins_per_octave`` bins per factor of two,
     spanning ``[lo, hi)`` plus an underflow bucket (values below ``lo``,
     including zero and negatives) and an overflow bucket (values at or above
-    ``hi``) — the layout is fixed at construction, so two histograms with
-    the same ``(lo, hi, bins_per_octave)`` merge exactly by bucket-wise
-    addition.  ``count``/``sum``/``min``/``max`` are tracked exactly
-    alongside the buckets, so :attr:`mean` is exact; :meth:`percentile`
-    interpolates geometrically inside its bucket and clamps to the observed
-    ``[min, max]``, bounding the relative error by one bucket width.
+    ``hi``) — the layout is fixed at construction.
+    ``count``/``sum``/``min``/``max`` are tracked exactly alongside the
+    buckets, so :attr:`mean` is exact; :meth:`percentile` interpolates
+    geometrically inside its bucket and clamps to the observed ``[min,
+    max]``, bounding the relative error by one bucket width.
     """
 
     __slots__ = (
@@ -231,22 +207,10 @@ class Histogram:
         return float(min(max(value, self.min), self.max))
 
     # ------------------------------------------------------------------
-    # Merge / export
+    # Layout / export
     # ------------------------------------------------------------------
     def _layout(self) -> tuple:
         return (self.lo, self.hi, self.bins_per_octave)
-
-    def merge(self, other: "Histogram") -> None:
-        if self._layout() != other._layout():
-            raise ValueError(
-                f"histogram {self.name!r}: bucket layouts differ "
-                f"({self._layout()} vs {other._layout()})"
-            )
-        self.counts += other.counts
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def snapshot(self) -> dict:
         nonzero = np.flatnonzero(self.counts)
@@ -271,14 +235,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of metrics with exact whole-registry merging.
+    """A named collection of metrics.
 
     Metric constructors are idempotent: asking for an existing name returns
     the existing metric (configuration must match for histograms), so
     instrumented layers can share one registry without coordination.
-    :meth:`merge` folds another registry in — metrics present in both merge
-    exactly; metrics only the other side has are copied in — so, e.g., the
-    ``metrics`` registries of two engines' serving reports fold into one.
     """
 
     def __init__(self):
@@ -342,35 +303,8 @@ class MetricsRegistry:
         }
 
     # ------------------------------------------------------------------
-    # Merge / export
+    # Export
     # ------------------------------------------------------------------
-    def _clone_of(self, metric):
-        if isinstance(metric, Counter):
-            fresh = Counter(metric.name)
-        elif isinstance(metric, Gauge):
-            fresh = Gauge(metric.name)
-        elif isinstance(metric, Histogram):
-            fresh = Histogram(
-                metric.name, metric.lo, metric.hi, metric.bins_per_octave
-            )
-        else:  # pragma: no cover - registry only holds the three types
-            raise TypeError(f"unknown metric type {type(metric).__name__}")
-        fresh.merge(metric)
-        return fresh
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, metric in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = self._clone_of(metric)
-                continue
-            if type(mine) is not type(metric):
-                raise TypeError(
-                    f"metric {name!r}: cannot merge "
-                    f"{type(metric).__name__} into {type(mine).__name__}"
-                )
-            mine.merge(metric)
-
     def to_dict(self) -> dict:
         return {
             name: self._metrics[name].snapshot() for name in self.names()

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 import time
 
 import numpy as np
@@ -114,7 +113,7 @@ class Span:
 
 
 class TraceRecorder:
-    """Collect :class:`Span` rows from the serving stages; thread-safe.
+    """Collect :class:`Span` rows from the serving stages.
 
     Parameters
     ----------
@@ -135,7 +134,6 @@ class TraceRecorder:
         self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -144,11 +142,10 @@ class TraceRecorder:
     # Recording
     # ------------------------------------------------------------------
     def _append(self, span: Span) -> None:
-        with self._lock:
-            if self.max_spans is not None and len(self.spans) >= self.max_spans:
-                self.dropped += 1
-                return
-            self.spans.append(span)
+        if self.max_spans is not None and len(self.spans) >= self.max_spans:
+            self.dropped += 1
+            return
+        self.spans.append(span)
 
     def record_span(
         self, flow_key, generation: int, stage: str,

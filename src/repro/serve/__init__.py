@@ -21,10 +21,10 @@ substrate into an *online* engine, the system shape the paper's
   any flow waits for its bucket;
 * :mod:`repro.serve.report` — :class:`ServingReport`, the
   throughput/latency/cache scorecard published in ``BENCH_e14.json``,
-  backed by the bounded, exactly-mergeable
-  :class:`repro.obs.metrics.MetricsRegistry`; the assembler, engine and
-  resilience layer also accept a :class:`repro.obs.trace.TraceRecorder`
-  for per-flow trace spans (see ``docs/OBSERVABILITY.md``);
+  backed by the bounded :class:`repro.obs.metrics.MetricsRegistry`; the
+  assembler, engine and resilience layer also accept a
+  :class:`repro.obs.trace.TraceRecorder` for per-flow trace spans (see
+  ``docs/OBSERVABILITY.md``);
 * :mod:`repro.serve.faults` — :class:`FaultPlan`, the deterministic seeded
   fault injector (corrupt chunks, stage raises, NaN logits) the chaos
   harness drives;

@@ -10,14 +10,12 @@ to know whether faults are armed.  Everything is counter-based and seeded,
 which makes chaos runs exactly reproducible: the same plan against the same
 stream fires the same faults at the same records every time.
 
-Plans are shared-state objects (one plan is consulted by the source, the
-assembler and the engine's forward, retries included), so the ordinal
-counters live behind a lock.
+One plan is consulted by the source, the assembler and the engine's
+forward, retries included, each advancing its own site's ordinal.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,26 +109,23 @@ class FaultPlan:
     def __post_init__(self):
         self.specs = tuple(self.specs)
         self._counters = {site: 0 for site in FAULT_SITES}
-        self._lock = threading.Lock()
 
     def take(self, site: str):
         """Advance ``site``'s ordinal; return the matching spec or ``None``."""
-        with self._lock:
-            ordinal = self._counters[site]
-            self._counters[site] = ordinal + 1
-            for spec in self.specs:
-                if spec.site != site:
-                    continue
-                if spec.index <= ordinal < spec.index + spec.count:
-                    self.fired.append((site, ordinal, spec))
-                    return spec
+        ordinal = self._counters[site]
+        self._counters[site] = ordinal + 1
+        for spec in self.specs:
+            if spec.site != site:
+                continue
+            if spec.index <= ordinal < spec.index + spec.count:
+                self.fired.append((site, ordinal, spec))
+                return spec
         return None
 
     def reset(self):
         """Rewind all ordinal counters (reuse one plan across runs)."""
-        with self._lock:
-            self._counters = {site: 0 for site in FAULT_SITES}
-            self.fired.clear()
+        self._counters = {site: 0 for site in FAULT_SITES}
+        self.fired.clear()
 
     @classmethod
     def random(

@@ -12,10 +12,6 @@ Since the observability layer landed, the report is backed by a
 * **Bounded memory.**  Latency and batch-size series are
   fixed-bucket log-scale histograms — a million observations costs the
   same memory as ten (regression-tested in ``tests/test_obs.py``).
-* **Exact merges.**  Every report shares fixed histogram layouts, so the
-  registries of independently accounted reports fold exactly with
-  :meth:`MetricsRegistry.merge <repro.obs.metrics.MetricsRegistry.merge>`
-  (bucket-wise addition, in any order).
 * **Same scorecard.**  :meth:`summary` keeps its key shape; counts, sums,
   means and maxima are exact, and the p50/p99 latency estimates carry at
   most one histogram-bucket width (< 9%) of relative error — well inside
@@ -28,7 +24,6 @@ JSON export via ``report.metrics.to_json()``).
 
 from __future__ import annotations
 
-import threading
 import time
 
 from ..obs.metrics import MetricsRegistry
@@ -72,7 +67,6 @@ class ServingReport:
         #: Numeric-policy identifier governing the served logits
         #: (:func:`repro.nn.numeric.numeric_policy` of the build dtype).
         self.numeric_policy: str | None = None
-        self._counter_lock = threading.Lock()
         self._first_submit: float | None = None
         self._last_completion: float | None = None
 
@@ -152,14 +146,12 @@ class ServingReport:
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump one resilience counter (``errors``, ``retries``,
-        ``quarantined``, ``degraded``, ``restarts``).  Thread-safe.
-        """
+        ``quarantined``, ``degraded``, ``restarts``)."""
         if name not in _COUNTERS:
             raise ValueError(
                 f"unknown counter {name!r} (choose from {_COUNTERS})"
             )
-        with self._counter_lock:
-            self.metrics.counter(f"serve.resilience.{name}").inc(n)
+        self.metrics.counter(f"serve.resilience.{name}").inc(n)
 
     # ------------------------------------------------------------------
     # Summary

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import threading
 import time
 
 import numpy as np
@@ -106,7 +105,7 @@ class DeadLetter:
 
 
 class DeadLetterQueue:
-    """Thread-safe append-only log of :class:`DeadLetter` entries.
+    """Append-only log of :class:`DeadLetter` entries.
 
     With a :class:`repro.obs.trace.TraceRecorder` attached, every appended
     entry also lands in the trace as a ``dead_letter`` event carrying the
@@ -116,12 +115,10 @@ class DeadLetterQueue:
 
     def __init__(self, tracer=None):
         self._entries: list[DeadLetter] = []
-        self._lock = threading.Lock()
         self.tracer = tracer
 
     def append(self, entry: DeadLetter) -> None:
-        with self._lock:
-            self._entries.append(entry)
+        self._entries.append(entry)
         if self.tracer is not None:
             self.tracer.annotate(
                 entry.flow_key, entry.generation, "dead_letter",

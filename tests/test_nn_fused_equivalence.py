@@ -404,6 +404,25 @@ class TestEvalFastPath:
         largest = max(b * s for b, s in shapes)
         assert buffers[("res0", np.dtype(dtype).char)].size == largest * 16
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_dropped_classifier_frees_its_scratch_at_once(self, dtype):
+        """A served classifier is freed by reference counting: its scratch
+        buffers do not outlive it until some later cyclic collection."""
+        import gc
+        import weakref
+
+        clf = self._classifier().serving_build(dtype)
+        clf.predict_logits(np.arange(8).reshape(2, 4), None)
+        fastpath, model = weakref.ref(clf._fastpath), weakref.ref(clf.model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del clf
+            assert fastpath() is None and model() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_weight_updates_are_picked_up(self):
         clf = self._classifier()
         ids = np.arange(8).reshape(2, 4)

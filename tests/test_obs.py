@@ -1,14 +1,12 @@
 """The unified observability layer (`repro.obs`).
 
-Three contracts under test: the metrics substrate is **bounded and exactly
-mergeable** (a million observations costs O(buckets) memory; folding worker
-registries is commutative/associative and lossless for counts, sums and
-extrema), traces driven by an injectable clock are **deterministic** (the
-same stream traced twice yields identical span rows, exportable/reloadable
-through JSONL), and kernel profiling is **off by default and observation
-only** (enabling it changes no computed value).  The serving-report
-satellites ride here too: stamp-conflict merges, empty merges in both
-directions, and the bounded-memory regression for the latency series.
+Three contracts under test: the metrics substrate is **bounded** (a million
+observations costs O(buckets) memory, with exact counts, sums and extrema),
+traces driven by an injectable clock are **deterministic** (the same stream
+traced twice yields identical span rows, exportable/reloadable through
+JSONL), and kernel profiling is **off by default and observation only**
+(enabling it changes no computed value).  The serving report's
+bounded-memory regression for the latency series rides here too.
 """
 
 from __future__ import annotations
@@ -58,12 +56,11 @@ MAX_TOKENS = 32
 # Metrics primitives
 # ----------------------------------------------------------------------
 class TestCounter:
-    def test_inc_and_merge(self):
-        a, b = Counter("x"), Counter("x")
+    def test_inc_and_snapshot(self):
+        a = Counter("x")
         a.inc()
         a.inc(4)
-        b.inc(2.5)
-        a.merge(b)
+        a.inc(2.5)
         assert a.value == 7.5
         assert a.snapshot() == {"type": "counter", "value": 7.5}
 
@@ -75,22 +72,10 @@ class TestGauge:
             g.set(v)
         assert (g.value, g.min, g.max, g.samples) == (2.0, 1.0, 7.0, 4)
 
-    def test_merge_combines_envelopes(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(5)
-        b.set(2)
-        b.set(9)
-        a.merge(b)
-        assert (a.value, a.min, a.max, a.samples) == (9.0, 2.0, 9.0, 3)
-
-    def test_empty_merges_both_directions(self):
-        seen, empty = Gauge("g"), Gauge("g")
-        seen.set(4)
-        before = seen.snapshot()
-        seen.merge(Gauge("g"))
-        assert seen.snapshot() == before
-        empty.merge(seen)
-        assert empty.snapshot() == before
+    def test_unset_snapshot_has_no_envelope(self):
+        assert Gauge("depth").snapshot() == {
+            "type": "gauge", "value": 0.0, "min": None, "max": None, "samples": 0,
+        }
 
 
 class TestHistogram:
@@ -135,25 +120,6 @@ class TestHistogram:
         assert np.array_equal(one.counts, many.counts)
         assert one.count == many.count and one.total == pytest.approx(many.total)
 
-    def test_merge_is_exact_bucketwise(self):
-        a, b = Histogram("h", 1e-3, 1e3), Histogram("h", 1e-3, 1e3)
-        whole = Histogram("h", 1e-3, 1e3)
-        va = np.random.default_rng(3).lognormal(0, 2, 500)
-        vb = np.random.default_rng(4).lognormal(1, 2, 700)
-        a.observe_many(va)
-        b.observe_many(vb)
-        whole.observe_many(np.concatenate([va, vb]))
-        a.merge(b)
-        assert np.array_equal(a.counts, whole.counts)
-        assert a.count == whole.count
-        assert a.total == pytest.approx(whole.total, rel=1e-12)
-        assert a.min == whole.min and a.max == whole.max
-
-    def test_merge_rejects_layout_mismatch(self):
-        a = Histogram("h", 1e-3, 1e3)
-        with pytest.raises(ValueError, match="layouts differ"):
-            a.merge(Histogram("h", 1e-3, 1e4))
-
     def test_million_observations_stay_o_buckets(self):
         h = Histogram("lat", 1e-7, 1e3)
         buckets_before = h.counts.size
@@ -187,38 +153,6 @@ class TestMetricsRegistry:
         r.gauge("depth").set(float(rng.integers(1, 50)))
         r.histogram("lat", 1e-6, 1e3).observe_many(rng.lognormal(-4, 2, 300))
         return r
-
-    def test_merge_commutes_across_three_workers(self):
-        # Commutativity of counter/histogram merges across 3+ registries —
-        # any fold order gives the identical registry.
-        # Histogram sums are floats, so the running total is only equal up
-        # to addition-reordering; every discrete quantity is exact.
-        def fold(order):
-            total = MetricsRegistry()
-            for seed in order:
-                total.merge(self._worker_registry(seed))
-            data = total.to_dict()
-            sums = {
-                name: snap.pop("sum")
-                for name, snap in data.items() if "sum" in snap
-            }
-            for snap in data.values():
-                snap.pop("mean", None)
-            return data, sums
-
-        folds = [fold([1, 2, 3]), fold([3, 1, 2]), fold([2, 3, 1])]
-        assert folds[0][0] == folds[1][0] == folds[2][0]
-        for name, value in folds[0][1].items():
-            assert folds[1][1][name] == pytest.approx(value, rel=1e-12)
-            assert folds[2][1][name] == pytest.approx(value, rel=1e-12)
-
-    def test_merge_clones_missing_metrics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("only-b").inc(3)
-        a.merge(b)
-        assert a.get("only-b").value == 3
-        b.counter("only-b").inc(10)  # the clone is independent
-        assert a.get("only-b").value == 3
 
     def test_json_export_round_trips(self):
         r = self._worker_registry(7)

@@ -752,6 +752,71 @@ class TestCoalescing:
         assert served_packets + dlq.packets == len(columns)
 
 
+
+class CrashingClassifier(CountingClassifier):
+    """Raises instead of running its ``crash_at``-th forward (1-based)."""
+
+    def __init__(self, classifier, crash_at):
+        super().__init__(classifier)
+        self.crash_at = crash_at
+        self.forwards = 0
+
+    def predict_logits(self, token_ids, attention_mask, batch_size=64):
+        self.forwards += 1
+        if self.forwards == self.crash_at:
+            raise RuntimeError("injected forward crash")
+        return super().predict_logits(token_ids, attention_mask, batch_size)
+
+
+class TestCrashBacklog:
+    """A multi-bucket call that crashes mid-way parks the buckets that
+    already ran for :meth:`InferenceEngine.drain_completed` and leaves the
+    crashed bucket pending: every record is still served exactly once."""
+
+    # Three buckets, run shortest (flush) or oldest-then-shortest (deadline)
+    # first: lengths 4, 6 and 9.
+    LENGTHS = {"a0": 4, "a1": 4, "b0": 6, "b1": 6, "c0": 9}
+
+    @pytest.mark.parametrize("call", ["flush", "advance_clock"])
+    def test_second_forward_crash(self, classifier, call):
+        vocab_size = classifier.model.config.vocab_size
+        records = [
+            length_record(key, length, 0.0, vocab_size, variant=i)
+            for i, (key, length) in enumerate(self.LENGTHS.items())
+        ]
+        engine = InferenceEngine(
+            CrashingClassifier(classifier, crash_at=2), batch_size=8,
+            max_wait=0.0 if call == "advance_clock" else math.inf,
+        )
+        for record in records:
+            assert engine.submit(record) == []
+
+        def run():
+            if call == "advance_clock":
+                return engine.advance_clock(1.0)
+            return engine.flush()
+
+        with pytest.raises(RuntimeError, match="injected forward crash"):
+            run()
+        first = engine.drain_completed()
+        assert sorted(p.record.key for p in first) == ["a0", "a1"]
+        assert engine.drain_completed() == []  # handed out once
+        assert engine.pending == 3  # the crashed bucket and the one after it
+        rest = run()
+        assert sorted(p.record.key for p in rest) == ["b0", "b1", "c0"]
+        assert engine.pending == 0 and engine.drain_completed() == []
+
+        served = first + rest
+        assert sorted(p.record.key for p in served) == sorted(self.LENGTHS)
+        assert engine.summary()["flows"] == len(records)
+        # The retried buckets serve the logits an uncrashed engine serves.
+        clean = InferenceEngine(classifier, batch_size=8, max_wait=math.inf)
+        for record in records:
+            clean.submit(record)
+        expected = {p.record.key: p.logits for p in clean.flush()}
+        for prediction in served:
+            assert np.array_equal(prediction.logits, expected[prediction.record.key])
+
 class TestSources:
     def test_chunk_columns_covers_all_rows(self, capture):
         columns, _ = capture
