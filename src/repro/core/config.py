@@ -29,15 +29,6 @@ class NetFMConfig:
     #: ``predict_logits`` to the no-tape eval fast path.  ``False`` selects
     #: the composed reference ops (kept for the differential harness).
     fused: bool = True
-    #: Parameter dtype the model is built in.  ``"float64"`` (default) is
-    #: the training/reference build, governed by the bit-exact numeric
-    #: policy.  ``"float32"`` is the accelerated *serving* build: trained
-    #: float64 weights are cast once at load, eval forwards take the
-    #: packed-gemm kernels, and logits follow the documented-ulp contract
-    #: (:mod:`repro.nn.numeric`).  Build one from a trained classifier via
-    #: :meth:`SequenceClassifier.serving_build
-    #: <repro.core.finetuning.SequenceClassifier.serving_build>`.
-    serve_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.d_model % self.num_heads != 0:
@@ -48,7 +39,3 @@ class NetFMConfig:
             raise ValueError("vocab_size must cover at least the special tokens")
         if self.max_len < 4:
             raise ValueError("max_len must be at least 4")
-        if self.serve_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"serve_dtype must be 'float64' or 'float32', got {self.serve_dtype!r}"
-            )

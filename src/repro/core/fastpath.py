@@ -149,7 +149,7 @@ class EvalForward:
         # it; maps are then cleared, so a stale read fails loudly
         # (``attention_maps()`` returns ``[]``) instead of silently
         # returning a previous batch's weights.
-        record = getattr(classifier, "record_attention", True)
+        record = classifier.record_attention
         blk = pool.take("blk", (b, s, d), dtype)
         layers = model.encoder.layers
         # Float32 [CLS]-only tail: after the last layer's attention (queries

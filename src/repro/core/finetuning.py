@@ -20,6 +20,7 @@ from ..nn.layers import Dropout, Linear
 from ..nn.losses import cross_entropy
 from ..nn.metrics import accuracy, macro_f1, weighted_f1
 from ..nn.module import Module, Parameter
+from ..nn.numeric import numeric_policy
 from ..nn.optim import AdamW
 from ..nn.schedules import WarmupLinearSchedule
 from ..nn.trainer import Trainer, TrainingHistory
@@ -82,12 +83,6 @@ class SequenceClassifier(Module):
         rng = np.random.default_rng(self.config.seed + 7)
         self.dropout = Dropout(self.config.dropout, rng=rng)
         self.head = Linear(model.config.d_model, num_classes, rng=rng)
-        # The head serves the model's dtype: a float32 serving build must
-        # not silently upcast its logits through a float64 head.
-        target = model.token_embedding.weight.data.dtype
-        for param in self.head.parameters():
-            if param.data.dtype != target:
-                param.data = param.data.astype(target)
         self.num_classes = num_classes
         self._fastpath = None
         #: Record each layer's attention weights during ``predict_logits``
@@ -110,28 +105,27 @@ class SequenceClassifier(Module):
     def serving_build(self, dtype: str = "float32") -> "SequenceClassifier":
         """A serving replica of this classifier built in ``dtype``.
 
-        The one-time cast the accelerated serving path documents: each
-        parameter is cast to ``dtype`` once, into the replica's own array,
-        and the replica's model config carries ``serve_dtype=dtype``.  No
-        second model is constructed, so nothing is randomly initialized
-        only to be overwritten.  The replica carries the cast parameters,
-        ``record_attention`` and copies of this classifier's dropout
-        generator states; it carries no gradients, no recorded attention
-        maps, no eval fast path and no scratch buffers, and it starts in
-        train mode like a fresh build.  The original keeps training in
-        float64 as the reference; the replica's eval forwards take the
-        packed float32 kernels under the documented-ulp policy
+        The one place a model's dtype is chosen: every constructed model is
+        the float64 reference, and each parameter is cast to ``dtype``
+        once, into the replica's own array.  No second model is
+        constructed, so nothing is randomly initialized only to be
+        overwritten.  The replica carries the cast parameters, a copy of
+        the model config, ``record_attention`` and copies of this
+        classifier's dropout generator states; it carries no gradients, no
+        recorded attention maps, no eval fast path and no scratch buffers,
+        and it starts in train mode like a fresh build.  The original keeps
+        training in float64 as the reference; the replica's eval forwards
+        take the packed float32 kernels under the documented-ulp policy
         (:mod:`repro.nn.numeric`).  ``serving_build("float64")`` is a plain
-        replica (useful for symmetric comparisons).
+        replica (useful for symmetric comparisons).  A dtype with no
+        numeric policy raises ``ValueError``.
         """
+        numeric_policy(dtype)
         dtype = np.dtype(dtype)
         # deepcopy consults the memo before copying anything: every entry
         # below is the replica's value for that source object.  A parameter
         # maps to a fresh Parameter over its cast array (no gradient).
         memo = {
-            id(self.model.config): dataclasses.replace(
-                self.model.config, serve_dtype=dtype.name
-            ),
             id(self.config): self.config,
             id(self._fastpath): None,
         }
@@ -168,7 +162,7 @@ class SequenceClassifier(Module):
         )
         trainer = Trainer(self, optimizer, schedule=schedule)
         rng = np.random.default_rng(cfg.seed)
-        fused = getattr(self.model.config, "fused", True)
+        fused = self.model.config.fused
 
         def make_batches():
             closures = []
@@ -237,7 +231,7 @@ class SequenceClassifier(Module):
         recorded attention maps and expect them aligned with the input
         width (the serving engine trims before calling in).
         """
-        if getattr(self.model.config, "fused", True):
+        if self.model.config.fused:
             if self._fastpath is None:
                 from .fastpath import EvalForward
 

@@ -36,8 +36,7 @@ class NetFoundationModel(Module):
         self.token_embedding = Embedding(config.vocab_size, config.d_model, rng=rng)
         self.position_embedding = Embedding(config.max_len, config.d_model, rng=rng)
         self.segment_embedding = Embedding(config.num_segments, config.d_model, rng=rng)
-        fused = getattr(config, "fused", True)
-        self.embedding_norm = LayerNorm(config.d_model, fused=fused)
+        self.embedding_norm = LayerNorm(config.d_model, fused=config.fused)
         self.embedding_dropout = Dropout(config.dropout, rng=rng)
         self.encoder = TransformerEncoder(
             num_layers=config.num_layers,
@@ -46,17 +45,8 @@ class NetFoundationModel(Module):
             d_ff=config.d_ff,
             dropout=config.dropout,
             rng=rng,
-            fused=fused,
+            fused=config.fused,
         )
-        # Serving builds cast every parameter once at construction;
-        # load_state_dict then casts incoming float64 state to the
-        # parameter dtype, so restoring trained weights into a float32
-        # build is the one-time cast the serving path documents.
-        serve_dtype = getattr(config, "serve_dtype", "float64")
-        if serve_dtype != "float64":
-            target = np.dtype(serve_dtype)
-            for param in self.parameters():
-                param.data = param.data.astype(target)
 
     # ------------------------------------------------------------------
     # Forward passes
@@ -139,7 +129,7 @@ class MaskedTokenHead(Module):
         super().__init__()
         rng = rng or np.random.default_rng(config.seed + 1)
         self.transform = Linear(config.d_model, config.d_model, rng=rng)
-        self.norm = LayerNorm(config.d_model, fused=getattr(config, "fused", True))
+        self.norm = LayerNorm(config.d_model, fused=config.fused)
         self.decoder = Linear(config.d_model, config.vocab_size, rng=rng)
 
     def forward(self, hidden: Tensor) -> Tensor:

@@ -427,7 +427,7 @@ class Pretrainer:
 
     def _make_loss(self, batch_ids, batch_mask, pair_ids, pair_mask, pair_labels):
         cfg = self.config
-        fused = getattr(self.model.config, "fused", True)
+        fused = self.model.config.fused
 
         def loss_fn() -> Tensor:
             loss = Tensor(np.zeros(()), requires_grad=False)

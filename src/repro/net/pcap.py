@@ -573,35 +573,27 @@ def read_pcap_columns(
     need[(proto == 17) | (proto == 1)] += 8
     vec = have_ip & (version == 4) & (cap >= need)
 
-    fb_rows = np.flatnonzero(~vec)
     bad_rows: list[int] = []
-    if tolerant:
-        fb_packets = []
-        fb_kept: list[int] = []
-        for i in fb_rows.tolist():
-            data = raw[starts[i] : starts[i] + int(cap[i])]
-            try:
-                packet = parse_packet(data, timestamp=float(timestamps[i]))
-            except Exception as error:
-                error_records.append(PcapReadError(
-                    kind="bad-record",
-                    index=i,
-                    offset=starts[i] - 16,
-                    message=str(error),
-                ))
-                bad_rows.append(i)
-                continue
-            fb_packets.append(packet)
-            fb_kept.append(i)
-        fb_rows = np.asarray(fb_kept, dtype=np.int64)
-    else:
-        fb_packets = [
-            parse_packet(
-                raw[starts[i] : starts[i] + int(cap[i])],
-                timestamp=float(timestamps[i]),
-            )
-            for i in fb_rows.tolist()
-        ]
+    fb_packets = []
+    fb_kept: list[int] = []
+    for i in np.flatnonzero(~vec).tolist():
+        data = raw[starts[i] : starts[i] + int(cap[i])]
+        try:
+            packet = parse_packet(data, timestamp=float(timestamps[i]))
+        except Exception as error:
+            if not tolerant:
+                raise
+            error_records.append(PcapReadError(
+                kind="bad-record",
+                index=i,
+                offset=starts[i] - 16,
+                message=str(error),
+            ))
+            bad_rows.append(i)
+            continue
+        fb_packets.append(packet)
+        fb_kept.append(i)
+    fb_rows = np.asarray(fb_kept, dtype=np.int64)
 
     v = np.flatnonzero(vec)
     sv = start[v]

@@ -115,20 +115,12 @@ class Module:
         """Return a flat mapping of parameter names to array copies."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(
-        self, state: dict[str, np.ndarray], strict: bool = True, dtype: str = "param"
-    ) -> None:
+    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
         """Load parameter values from a flat mapping produced by :meth:`state_dict`.
 
-        ``dtype`` selects which side's dtype wins: ``"param"`` (default)
-        casts incoming values to each parameter's dtype — the one-time cast
-        that loads trained float64 state into a float32 serving build —
-        while ``"state"`` adopts the stored dtype, so restoring a float32
-        checkpoint into a float64-built module converts the module in
-        place (the serialization round-trip).
+        Stored values are cast to each parameter's dtype: loading never
+        changes a module's dtype.
         """
-        if dtype not in ("param", "state"):
-            raise ValueError(f"dtype must be 'param' or 'state', got {dtype!r}")
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -140,8 +132,7 @@ class Module:
             if name not in state:
                 continue
             # One fresh array per parameter: the cast (if any) is the copy.
-            target = param.data.dtype if dtype == "param" else None
-            value = np.array(state[name], dtype=target, copy=True)
+            value = np.array(state[name], dtype=param.data.dtype, copy=True)
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"

@@ -87,10 +87,10 @@ def load_state(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 def save_checkpoint(model: Module, path: str | Path, metadata: dict | None = None) -> Path:
     """Serialize a module's parameters plus optional metadata.
 
-    The parameter arrays keep their build dtype in the ``.npz`` (a float32
-    serving build round-trips as float32), and the dominant dtype is also
-    recorded as ``model_dtype`` metadata so tooling can tell a serving
-    checkpoint from a reference one without opening the arrays.
+    The parameter arrays keep their build dtype in the ``.npz``, and the
+    dominant dtype is also recorded as ``model_dtype`` metadata, so a
+    loader can tell a serving checkpoint from a reference one without
+    opening the arrays (see :func:`load_checkpoint`).
     """
     state = model.state_dict()
     metadata = dict(metadata or {})
@@ -100,17 +100,14 @@ def save_checkpoint(model: Module, path: str | Path, metadata: dict | None = Non
     return save_state(state, path, metadata)
 
 
-def load_checkpoint(
-    model: Module, path: str | Path, strict: bool = True, dtype: str = "param"
-) -> dict:
+def load_checkpoint(model: Module, path: str | Path, strict: bool = True) -> dict:
     """Restore a module's parameters; returns the stored metadata.
 
-    ``dtype="param"`` (default) casts stored values to the module's build
-    dtype; ``dtype="state"`` adopts the checkpoint's dtype, so a float32
-    serving checkpoint restores as a float32 build even into a module that
-    was constructed in float64 (see :meth:`Module.load_state_dict
-    <repro.nn.module.Module.load_state_dict>`).
+    Stored values are cast to the module's dtype.  A float32 serving
+    checkpoint restores exactly by loading it into a float64 build and
+    then calling ``serving_build(metadata["model_dtype"])``: float32 to
+    float64 and back is lossless.
     """
     state, metadata = load_state(path)
-    model.load_state_dict(state, strict=strict, dtype=dtype)
+    model.load_state_dict(state, strict=strict)
     return metadata

@@ -60,7 +60,9 @@ class FlowRecord:
     ``token_ids`` / ``attention_mask`` are the exact ``encode_columns`` row
     (``[CLS] tokens... [SEP]`` padded to the builder's ``max_tokens``) the
     offline pipeline would produce for this flow; ``label`` is the per-flow
-    majority label (``None`` when unlabelled, e.g. parsed captures).
+    majority label (``None`` when unlabelled, e.g. parsed captures).  The
+    mask is a prefix mask: its first ``len(record)`` entries are True and
+    the rest False, so ``token_ids[:len(record)]`` is the whole context.
     """
 
     key: object

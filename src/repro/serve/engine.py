@@ -50,14 +50,6 @@ from .stream import chunk_clock
 __all__ = ["PredictionCache", "FlowPrediction", "InferenceEngine", "serve_stream"]
 
 
-def _numeric_policy(dtype: str) -> str:
-    """The policy identifier for a build dtype; ``"unknown"`` off-policy."""
-    try:
-        return numeric_policy(dtype)
-    except (TypeError, ValueError):
-        return "unknown"
-
-
 class PredictionCache:
     """Bounded LRU cache from encoded contexts to logits.
 
@@ -224,12 +216,12 @@ class InferenceEngine:
         self._clock = -math.inf
         self._pending = 0
         # Cache-key namespace: the build dtype is part of every key (see
-        # class docstring).  Fixed at construction — serving builds cast
-        # once at load and never change dtype afterwards.
+        # class docstring).  Fixed at construction — a build's dtype is
+        # set once by serving_build and never changes afterwards.
         self._cache_prefix = (self.model_dtype + ":").encode("ascii")
         self.report = ServingReport()
         self.report.model_dtype = self.model_dtype
-        self.report.numeric_policy = _numeric_policy(self.model_dtype)
+        self.report.numeric_policy = numeric_policy(self.model_dtype)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -391,22 +383,20 @@ class InferenceEngine:
             if row == len(owners):
                 owners.append(j)
             rows.append(row)
-        # Every flow in the bucket has exactly the bucket's length.
+        # Every flow in the bucket has exactly the bucket's length, and its
+        # mask is a prefix mask (see FlowRecord), so the stacked rows carry
+        # no padding and attention needs no mask at all: passing None is
+        # bit-identical and skips the (batch, heads, seq, seq) mask
+        # temporaries, the forward's largest arrays.
         ids = np.stack([records[j].token_ids[:bucket] for j in owners])
-        mask = np.stack([records[j].attention_mask[:bucket] for j in owners])
         # Batch invariance (a lone row's logits matching the same row inside
         # any batch) is guaranteed for float64 builds by the classifier's
         # eval fast path, which runs singleton chunks as a duplicated pair
         # at the kernel layer; float32 builds hold the ulp budget instead.
-        # Exact-length buckets carry no padding, so attention needs no mask
-        # at all — skipping it is bit-identical and skips the (batch, heads,
-        # seq, seq) mask temporaries, the forward's largest arrays.
         tracer = self.tracer
         try:
             t_forward = tracer.clock() if tracer is not None else 0.0
-            logits = self.classifier.predict_logits(
-                ids, None if mask.all() else mask, batch_size=len(ids)
-            )
+            logits = self.classifier.predict_logits(ids, None, batch_size=len(ids))
             t_done = tracer.clock() if tracer is not None else 0.0
             # Fancy indexing gives every flow its own copy of its row, so a
             # consumer mutating one prediction's logits never reaches a twin.

@@ -247,16 +247,13 @@ class PcapReplaySource(PacketSource):
         self.errors: list = []
 
     def _columns(self) -> PacketColumns:
-        if self.errors_mode == "quarantine":
-            columns, errors = read_pcap_columns(
-                self.path, decode_cache=self.decode_cache,
-                lazy_decode=self.lazy_decode, errors="quarantine",
-            )
-            self.errors = errors
-            return columns
-        return read_pcap_columns(
-            self.path, decode_cache=self.decode_cache, lazy_decode=self.lazy_decode
+        columns = read_pcap_columns(
+            self.path, decode_cache=self.decode_cache,
+            lazy_decode=self.lazy_decode, errors=self.errors_mode,
         )
+        if self.errors_mode == "quarantine":
+            columns, self.errors = columns
+        return columns
 
 
 class ScenarioSource(PacketSource):

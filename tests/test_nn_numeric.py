@@ -11,14 +11,13 @@ Three layers of coverage:
   parametrized over both dtypes: the float64 arm pins the bit-exact policy
   (budget 0), the float32 arm pins the documented :data:`ULP_BUDGETS`.
 
-Plus the ``serve_dtype`` build machinery the policy governs: one-time cast
-on :meth:`SequenceClassifier.serving_build`, checkpoint round-trips that
-preserve the serving dtype, and config validation.
+Plus the build machinery the policy governs: the one-time cast of
+:meth:`SequenceClassifier.serving_build` (the only place a model's dtype is
+chosen) and checkpoint round-trips that preserve the serving dtype.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -376,7 +375,7 @@ class TestFusedKernelSweep:
 
 
 # ---------------------------------------------------------------------------
-# serve_dtype builds and checkpoint round-trips
+# Serving builds and checkpoint round-trips
 # ---------------------------------------------------------------------------
 
 
@@ -399,6 +398,9 @@ class TestServingBuild:
         # The trained float64 build is untouched — it stays the reference.
         assert classifier.model_dtype == "float64"
         assert all(p.data.dtype == np.float64 for p in classifier.parameters())
+        # A dtype without a numeric policy has no serving build.
+        with pytest.raises(ValueError, match="no numeric policy"):
+            classifier.serving_build("float16")
 
     def test_weights_are_the_rounded_originals(self):
         classifier = _build_classifier()
@@ -413,18 +415,6 @@ class TestServingBuild:
         assert np.array_equal(
             serving.predict_logits(ids, None), classifier.predict_logits(ids, None)
         )
-
-    def test_config_rejects_unknown_serve_dtype(self):
-        with pytest.raises(ValueError, match="serve_dtype"):
-            NetFMConfig(vocab_size=37, serve_dtype="float16")
-
-    def test_direct_float32_config_build(self):
-        config = NetFMConfig(
-            vocab_size=37, d_model=16, num_heads=2, num_layers=1, d_ff=32,
-            max_len=16, serve_dtype="float32",
-        )
-        model = NetFoundationModel(config)
-        assert all(p.data.dtype == np.float32 for p in model.parameters())
 
 
 def _used_classifier():
@@ -443,13 +433,16 @@ def _used_classifier():
 
 
 def _replica_by_construction(source, dtype):
-    """The serving replica built by constructing a second model and
-    loading the source's state into it (the reference for the cast)."""
-    config = dataclasses.replace(source.model.config, serve_dtype=dtype)
+    """The serving replica built by constructing a second (float64) model,
+    loading the source's state into it and casting each parameter (the
+    reference for the cast)."""
     replica = SequenceClassifier(
-        NetFoundationModel(config), source.num_classes, config=source.config
+        NetFoundationModel(source.model.config), source.num_classes,
+        config=source.config,
     )
     replica.load_state_dict(source.state_dict())
+    for param in replica.parameters():
+        param.data = param.data.astype(dtype)
     replica.record_attention = source.record_attention
     return replica
 
@@ -466,8 +459,9 @@ class TestServingReplica:
         for name, value in expected.items():
             assert state[name].dtype == dtype
             assert np.array_equal(state[name], value.astype(dtype)), name
-        assert replica.model.config.serve_dtype == np.dtype(dtype).name
-        assert source.model.config.serve_dtype == "float64"
+        # The replica owns an equal copy of the model config.
+        assert replica.model.config == source.model.config
+        assert replica.model.config is not source.model.config
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_no_array_is_shared(self, dtype):
@@ -551,16 +545,14 @@ class TestServingReplica:
             replica = source.serving_build(dtype)
             assert replica.model_dtype == dtype
 
-    @pytest.mark.parametrize("mode", ["param", "state"])
-    def test_load_state_dict_owns_its_arrays(self, mode):
+    def test_load_state_dict_owns_its_arrays(self):
         classifier = _build_classifier()
         state = {name: value.astype(np.float32) for name, value in
                  _build_classifier(seed=8).state_dict().items()}
-        classifier.load_state_dict(state, dtype=mode)
-        want = np.float64 if mode == "param" else np.float32
+        classifier.load_state_dict(state)
         for name, param in classifier.named_parameters():
-            assert param.data.dtype == want
-            assert np.array_equal(param.data, state[name].astype(want))
+            assert param.data.dtype == np.float64
+            assert np.array_equal(param.data, state[name].astype(np.float64))
             assert not np.shares_memory(param.data, state[name])
 
 
@@ -571,9 +563,12 @@ class TestCheckpointDtypeRoundTrip:
         path = tmp_path / "serving.npz"
         save_checkpoint(serving, path)
 
-        restored = _build_classifier()  # a fresh float64 build
-        metadata = load_checkpoint(restored, path, dtype="state")
+        # Load into a fresh float64 build, then make the serving build the
+        # metadata names: float32 -> float64 -> float32 is exact.
+        restored = _build_classifier()
+        metadata = load_checkpoint(restored, path)
         assert metadata["model_dtype"] == "float32"
+        restored = restored.serving_build(metadata["model_dtype"])
         assert restored.model_dtype == "float32"
         ids = np.random.default_rng(1).integers(0, 37, (4, 12))
         assert np.array_equal(
@@ -587,7 +582,7 @@ class TestCheckpointDtypeRoundTrip:
         save_checkpoint(serving, path)
 
         restored = _build_classifier()
-        load_checkpoint(restored, path)  # dtype="param": cast to the build
+        load_checkpoint(restored, path)  # cast to the build dtype
         assert restored.model_dtype == "float64"
 
     def test_float64_checkpoint_metadata(self, tmp_path):
