@@ -390,6 +390,30 @@ def _build_classifier(**overrides):
 
 
 class TestServingBuild:
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_construction_is_float64(self, fused):
+        # No constructor casts: every build starts as the float64 reference.
+        config = NetFMConfig(
+            vocab_size=37, d_model=16, num_heads=2, num_layers=1, d_ff=32,
+            max_len=16, fused=fused,
+        )
+        classifier = SequenceClassifier(NetFoundationModel(config), 3)
+        assert classifier.model_dtype == "float64"
+        assert all(p.data.dtype == np.float64 for p in classifier.parameters())
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64"])
+    def test_rejects_dtype_without_policy(self, dtype):
+        classifier = _build_classifier()
+        before = classifier.state_dict()
+        with pytest.raises(ValueError, match="no numeric policy"):
+            classifier.serving_build(dtype)
+        # The refused build leaves the source as it was.
+        assert classifier.model_dtype == "float64"
+        assert all(
+            np.array_equal(value, classifier.state_dict()[name])
+            for name, value in before.items()
+        )
+
     def test_casts_every_parameter_once(self):
         classifier = _build_classifier()
         serving = classifier.serving_build("float32")
@@ -545,14 +569,20 @@ class TestServingReplica:
             replica = source.serving_build(dtype)
             assert replica.model_dtype == dtype
 
-    def test_load_state_dict_owns_its_arrays(self):
-        classifier = _build_classifier()
-        state = {name: value.astype(np.float32) for name, value in
+    @pytest.mark.parametrize("build", ["float64", "float32"])
+    def test_load_state_dict_owns_its_arrays(self, build):
+        # Stored values take the parameter's dtype, whichever way the cast
+        # goes: float32 state into the float64 reference, float64 state
+        # into a float32 serving build.
+        classifier = _build_classifier().serving_build(build)
+        stored = np.float32 if build == "float64" else np.float64
+        state = {name: value.astype(stored) for name, value in
                  _build_classifier(seed=8).state_dict().items()}
         classifier.load_state_dict(state)
+        assert classifier.model_dtype == build
         for name, param in classifier.named_parameters():
-            assert param.data.dtype == np.float64
-            assert np.array_equal(param.data, state[name].astype(np.float64))
+            assert param.data.dtype == build
+            assert np.array_equal(param.data, state[name].astype(build))
             assert not np.shares_memory(param.data, state[name])
 
 
@@ -584,6 +614,23 @@ class TestCheckpointDtypeRoundTrip:
         restored = _build_classifier()
         load_checkpoint(restored, path)  # cast to the build dtype
         assert restored.model_dtype == "float64"
+
+    def test_float64_checkpoint_loads_into_float32_build(self, tmp_path):
+        classifier = _build_classifier()
+        path = tmp_path / "reference.npz"
+        save_checkpoint(classifier, path)
+
+        # Loading never changes a build's dtype: the float32 serving build
+        # stays float32 and equals the serving build of the saved model.
+        restored = _build_classifier(seed=8).serving_build("float32")
+        metadata = load_checkpoint(restored, path)
+        assert metadata["model_dtype"] == "float64"
+        assert restored.model_dtype == "float32"
+        ids = np.random.default_rng(2).integers(0, 37, (4, 12))
+        assert np.array_equal(
+            restored.predict_logits(ids, None),
+            classifier.serving_build("float32").predict_logits(ids, None),
+        )
 
     def test_float64_checkpoint_metadata(self, tmp_path):
         classifier = _build_classifier()
