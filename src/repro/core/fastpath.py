@@ -8,8 +8,8 @@ for a tape node, a Python dispatch and a fresh array per op even under
 modules themselves run (:func:`~repro.nn.kernels.eval_layer_norm`,
 :func:`~repro.nn.kernels.eval_attention`,
 :func:`~repro.nn.kernels.eval_matmul`) over a
-:class:`~repro.nn.kernels.GrowingScratchPool` of reused activation buffers
-(one per slot, sized by the largest batch shape seen).  Those kernels pick
+:class:`~repro.nn.kernels.ScratchPool` of reused activation buffers (one
+per slot, sized by the largest batch shape seen).  Those kernels pick
 the numeric policy by dtype: float64 replays the composed op sequence, so
 logits are bit-identical to the module path (asserted by
 `tests/test_nn_fused_equivalence.py`); float32 serving builds run the
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.autograd import _GELU_C
-from ..nn.kernels import GrowingScratchPool, eval_attention, eval_layer_norm, eval_matmul
+from ..nn.kernels import ScratchPool, eval_attention, eval_layer_norm, eval_matmul
 
 __all__ = ["EvalForward"]
 
@@ -69,7 +69,7 @@ class EvalForward:
     """
 
     def __init__(self):
-        self._pool = GrowingScratchPool()
+        self._pool = ScratchPool()
 
     # ------------------------------------------------------------------
     # Entry point

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..context.builders import Context
 from ..nn.autograd import Tensor, no_grad
 from ..nn.data import pack_batches
 from ..nn.layers import Dropout, Linear
@@ -24,7 +23,6 @@ from ..nn.numeric import numeric_policy
 from ..nn.optim import AdamW
 from ..nn.schedules import WarmupLinearSchedule
 from ..nn.trainer import Trainer, TrainingHistory
-from ..tokenize.vocab import Vocabulary
 from .model import NetFoundationModel
 
 __all__ = ["FinetuneConfig", "SequenceClassifier", "LabelEncoder"]
@@ -275,21 +273,3 @@ class SequenceClassifier(Module):
             "f1": weighted_f1(labels, predictions, self.num_classes),
             "macro_f1": macro_f1(labels, predictions, self.num_classes),
         }
-
-    # ------------------------------------------------------------------
-    # Convenience wrappers over Context objects
-    # ------------------------------------------------------------------
-    @staticmethod
-    def encode_dataset(
-        contexts: Sequence[Context],
-        vocabulary: Vocabulary,
-        label_encoder: LabelEncoder,
-        max_len: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode contexts (with labels) into arrays for :meth:`fit`."""
-        from ..context.builders import encode_contexts
-
-        labelled = [c for c in contexts if c.label is not None]
-        ids, mask = encode_contexts(labelled, vocabulary, max_len)
-        labels = label_encoder.encode([c.label for c in labelled])
-        return ids, mask, labels

@@ -109,19 +109,6 @@ class NetFMPipeline:
         )
         return contexts, history
 
-    def encode_packets(self, packets: Sequence[Packet]) -> tuple[np.ndarray, np.ndarray]:
-        """Encode raw packets straight to padded id/mask matrices.
-
-        Uses the tokenizer's vectorized :meth:`~repro.tokenize.base.PacketTokenizer.encode_batch`
-        fast path (one row per packet, no context grouping) — the entry point
-        for packet-level inference at trace scale.
-        """
-        if self.vocabulary is None:
-            raise RuntimeError("pretrain() (or build_vocabulary) must run first")
-        return self.tokenizer.encode_batch(
-            packets, self.vocabulary, max_len=self.model_config.max_len
-        )
-
     def encode_labelled(
         self, packets: Sequence[Packet]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -251,10 +251,6 @@ class ShardedCorpus:
             return PacketColumns.from_packets([])
         return PacketColumns.concat(parts)
 
-    def to_corpus(self) -> PacketTraceCorpus:
-        """Materialize the whole corpus in memory."""
-        return PacketTraceCorpus(self.columns())
-
     def labels(self, key: str = "application") -> list:
         """Per-row metadata labels, streamed shard by shard.
 

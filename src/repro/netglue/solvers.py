@@ -52,8 +52,6 @@ class SolverSettings:
     d_model: int = 32
     num_layers: int = 2
     seed: int = 0
-    #: Use the packed-batch fast path for pre-training and fine-tuning.
-    packed: bool = True
 
 
 def _classification_metrics(labels: np.ndarray, predictions: np.ndarray) -> dict[str, float]:
@@ -211,7 +209,6 @@ class FoundationModelSolver:
                 epochs=settings.pretrain_epochs,
                 batch_size=settings.batch_size,
                 seed=settings.seed,
-                packed=settings.packed,
             ),
         )
         pretrainer.pretrain_encoded(train_ids, train_mask)
@@ -223,7 +220,6 @@ class FoundationModelSolver:
                 epochs=settings.finetune_epochs,
                 batch_size=settings.batch_size,
                 seed=settings.seed,
-                packed=settings.packed,
             ),
         )
         classifier.fit(train_ids, train_mask, encoder.label_encoder.encode(train_labels))

@@ -18,11 +18,12 @@ tape node each, with three properties the differential harness
   the last ulp because additions associate differently; training curves
   remain loss-for-loss identical at ``assert_allclose`` default tolerance.
 * **Scratch reuse.**  Temporaries that the backward never needs come from a
-  :class:`ScratchPool` keyed by ``(slot, shape, dtype)``: after warmup the
-  pool stops allocating (``scratch_allocations()`` is sampled by the
-  trainer per step and gated in E14).  Arrays that outlive the call —
-  graph outputs and saved residuals — are always freshly allocated, so
-  models that run forward more than once per step (e.g. MLM + NSP) can
+  :class:`ScratchPool`: one flat buffer per ``(slot, dtype)``, grown to the
+  largest request and handed out as prefix views, so once the widest batch
+  has run the pool stops allocating (``scratch_allocations()`` is sampled
+  by the trainer per step and gated in E14).  Arrays that outlive the
+  call — graph outputs and saved residuals — are always freshly allocated,
+  so models that run forward more than once per step (e.g. MLM + NSP) can
   never clobber a pending backward.
 
 Dtype discipline: every kernel computes in the dtype of its input (scalars
@@ -57,7 +58,6 @@ from .autograd import Tensor, is_grad_enabled
 
 __all__ = [
     "ScratchPool",
-    "GrowingScratchPool",
     "scratch_allocations",
     "KernelProfiler",
     "enable_kernel_profiling",
@@ -194,8 +194,8 @@ def _profiled(name: str):
 
 
 # Count of scratch buffers allocated (pool misses) since process start.
-# Steady-state training/serving should stop incrementing this after the
-# first step per distinct batch shape.
+# Steady-state training/serving stops incrementing this once each slot has
+# served its largest request.
 _POOL_ALLOCS = 0
 
 
@@ -205,55 +205,23 @@ def scratch_allocations() -> int:
 
 
 class ScratchPool:
-    """Reusable scratch buffers keyed by ``(slot, shape, dtype)``.
+    """Scratch buffers keyed by ``(slot, dtype)``, grown to the largest request.
 
-    Each call site names its buffer with a ``slot`` string; distinct shapes
-    (length buckets) coexist under the same slot so alternating batch
-    widths do not thrash.  Buffers handed out here must never escape the
-    kernel call that requested them.
+    Each call site names its buffer with a ``slot`` string.  A slot owns one
+    flat buffer; a request gets a reshaped view of its prefix, and a larger
+    request replaces the buffer.  Memory is therefore the largest request's,
+    not the sum over every shape the slot has served, so batches of many
+    widths (packed training, serving length buckets) hold one set of
+    temporaries.  A buffer handed out here is valid only until the next
+    request of its slot on the same pool: it must never escape the kernel
+    call that requested it (a VJP may return one, since ``backward()``
+    copies every returned gradient before the next node runs).
     """
 
     __slots__ = ("_buffers",)
 
     def __init__(self) -> None:
         self._buffers: dict = {}
-
-    def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        global _POOL_ALLOCS
-        key = (slot, shape, np.dtype(dtype).char)
-        buf = self._buffers.get(key)
-        profiler = _PROFILER
-        if buf is None:
-            _POOL_ALLOCS += 1
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-            if profiler is not None:
-                profiler.pool_miss(buf.nbytes)
-        elif profiler is not None:
-            profiler.pool_hit(buf.nbytes)
-        return buf
-
-    def __deepcopy__(self, memo):
-        # Scratch contents are never reused across calls; deep-copied
-        # models start with an empty pool.
-        return type(self)()
-
-
-class GrowingScratchPool(ScratchPool):
-    """Scratch buffers keyed by ``(slot, dtype)``, grown to the largest request.
-
-    Each slot owns one flat buffer; a request gets a reshaped view of its
-    prefix, and a larger request replaces the buffer.  Memory is therefore
-    the largest shape's, not the sum over every shape the slot has served:
-    an eval forward over many ``(batch, width)`` length buckets holds one
-    bucket's activations instead of one set per bucket (a fresh per-shape
-    pool of a ``d_model=256`` serving model reaches ~1.5 GB over one
-    trace, all of it first-touch page faults).  Only for callers where no
-    buffer outlives the next request of its slot — the eval forward, where
-    nothing escapes one chunk call.
-    """
-
-    __slots__ = ()
 
     def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         global _POOL_ALLOCS
@@ -270,6 +238,11 @@ class GrowingScratchPool(ScratchPool):
         elif profiler is not None:
             profiler.pool_hit(size * dtype.itemsize)
         return buf[:size].reshape(shape)
+
+    def __deepcopy__(self, memo):
+        # Scratch contents are never reused across calls; deep-copied
+        # models start with an empty pool.
+        return type(self)()
 
 
 # ----------------------------------------------------------------------

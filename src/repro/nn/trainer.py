@@ -48,12 +48,6 @@ class TrainingHistory:
             return 0.0
         return self.tokens_processed / self.wall_time
 
-    def best_metric(self, key: str, maximize: bool = True) -> float:
-        values = [m[key] for m in self.eval_metrics if key in m]
-        if not values:
-            return float("nan")
-        return max(values) if maximize else min(values)
-
     def to_registry(self, registry=None):
         """Express this history over a :class:`repro.obs.metrics.MetricsRegistry`.
 

@@ -47,10 +47,6 @@ class ByteTokenizer(PacketTokenizer):
         data = data[: self.max_bytes]
         return [f"0x{b:02x}" for b in data]
 
-    def tokenize_bytes(self, data: bytes) -> list[str]:
-        """Tokenize a raw byte string (used by unit tests and by BPE training)."""
-        return [f"0x{b:02x}" for b in data[: self.max_bytes]]
-
     def encode_batch(
         self,
         packets: "Sequence[Packet] | PacketColumns",

@@ -74,10 +74,6 @@ class Vocabulary:
             items = items[: max(max_size - len(SPECIAL_TOKENS), 0)]
         return cls(token for token, _ in items)
 
-    def add_token(self, token: str) -> int:
-        """Add a single token (no-op if present); returns its id."""
-        return self._add(token)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

@@ -117,12 +117,6 @@ class TrafficGenerator:
             return PacketColumns.from_packets(self.generate())
         return plan.to_columns()
 
-    def generate_sorted(self) -> list[Packet]:
-        """Generate and return packets sorted by timestamp."""
-        packets = self.generate()
-        packets.sort(key=lambda p: p.timestamp)
-        return packets
-
 
 def merge_traces(*traces) -> "list[Packet] | PacketColumns":
     """Merge traces from several generators into one time-ordered capture.

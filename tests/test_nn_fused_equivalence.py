@@ -17,7 +17,9 @@ pins the equivalence contract:
   and makes a lone row's logits equal to the same row served in any batch
   (the batch-invariance contract the serving engine relies on);
 * float32 models stay float32 end to end on the fused path;
-* steady-state training allocates no scratch buffers.
+* steady-state training allocates no scratch buffers, and each scratch
+  pool holds one buffer per slot, sized to its largest request, whose
+  prefix views never carry data from one request into the next.
 
 Shapes deliberately cover 1-element, odd and power-of-two rows, singleton
 batches, and padded vs padding-free masks.
@@ -47,6 +49,7 @@ from repro.nn import (
     cross_entropy,
     masked_cross_entropy,
     no_grad,
+    scratch_allocations,
 )
 from repro.nn.numeric import assert_within_ulp, ulp_budget
 from repro.tokenize import Vocabulary
@@ -546,6 +549,75 @@ class TestAllocationDiscipline:
         assert history.step_scratch_allocations[1:] == [0, 0, 0]
         # The taped graph has a fixed size per batch shape.
         assert len(set(history.step_tensor_allocations[1:])) == 1
+
+    @staticmethod
+    def _train_pass(norm, attention, x):
+        """One taped LayerNorm -> attention forward and backward."""
+        inp = Tensor(x, requires_grad=True)
+        out = attention(norm(inp))
+        (out * out).sum().backward()
+        return out.data, inp.grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pool_holds_one_buffer_per_slot_sized_to_largest_request(self, dtype):
+        """Taped passes over three widths, the largest not first, leave each
+        module pool with one buffer per ``(slot, dtype)`` — exactly what a
+        pool that only ever saw the largest width holds — and every pass
+        matches a cold module bit for bit."""
+        def modules():
+            norm = LayerNorm(16)
+            attention = MultiHeadAttention(16, 4, rng=np.random.default_rng(5))
+            for module in (norm, attention):
+                for p in module.parameters():
+                    p.data = p.data.astype(dtype)
+            return norm, attention
+
+        rng = np.random.default_rng(7)
+        widths = [9, 21, 4]
+        warm = modules()
+        for width in widths:
+            x = rng.normal(size=(3, width, 16)).astype(dtype)
+            out, grad = self._train_pass(*warm, x)
+            cold_out, cold_grad = self._train_pass(*modules(), x)
+            assert np.array_equal(out, cold_out) and np.array_equal(grad, cold_grad)
+        largest = modules()
+        self._train_pass(*largest, rng.normal(size=(3, max(widths), 16)).astype(dtype))
+        for module, reference in zip(warm, largest):
+            sizes = {key: buf.size for key, buf in module._pool._buffers.items()}
+            assert all(char == np.dtype(dtype).char for _, char in sizes)
+            assert sizes == {key: buf.size for key, buf in reference._pool._buffers.items()}
+
+    def test_prefix_reuse_never_aliases_live_data(self):
+        """A packed fit whose pools were pre-grown by a max-width batch (and
+        then poisoned with NaN) allocates no scratch and gives per-step
+        losses equal to a cold fit: narrower batches only ever read prefix
+        views they wrote themselves."""
+        def classifier():
+            model, _ = build_model_pair(max_len=24)
+            return SequenceClassifier(model, 3, FinetuneConfig(epochs=2, dropout=0.0))
+
+        rng = np.random.default_rng(2)
+        ids = rng.integers(5, 37, (96, 24))
+        mask = random_mask(rng, 96, 24)
+        labels = rng.integers(0, 3, 96)
+        batch = FinetuneConfig().batch_size
+
+        cold = classifier().fit(ids, mask, labels).losses
+        grown = classifier()
+        full = np.ones((batch, ids.shape[1]), dtype=bool)
+        cross_entropy(grown(ids[:batch], attention_mask=full), labels[:batch]).backward()
+        grown.zero_grad()
+        pools = [grown.model.embedding_norm._pool, grown.model.encoder.final_norm._pool]
+        for layer in grown.model.encoder.layers:
+            pools += [layer.norm1._pool, layer.norm2._pool, layer.attention._pool]
+        for pool in pools:
+            for buf in pool._buffers.values():
+                buf.fill(np.nan)
+        before = scratch_allocations()
+        warm = grown.fit(ids, mask, labels).losses
+        assert scratch_allocations() == before
+        assert len(set(mask.sum(axis=1))) >= 3
+        assert warm == cold
 
     def test_grad_mode_is_thread_local_for_fused_kernels(self):
         layer = LayerNorm(4, fused=True)

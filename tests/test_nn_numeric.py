@@ -38,7 +38,7 @@ from repro.nn import (
 )
 from repro.nn import init
 from repro.nn.kernels import (
-    GrowingScratchPool,
+    ScratchPool,
     eval_attention,
     eval_layer_norm,
     eval_matmul,
@@ -273,12 +273,12 @@ class TestFusedKernelSweep:
     def test_eval_kernels_into_shared_growing_pool(self, dtype):
         """``eval_layer_norm`` / ``eval_attention`` / ``eval_matmul`` called
         directly, writing into ``out=`` buffers of one shared
-        :class:`GrowingScratchPool`, against the composed float64 modules.
+        :class:`ScratchPool`, against the composed float64 modules.
 
         Shapes run largest first, so every later call gets prefix views of
         buffers an earlier call sized — the serving fast path's situation.
         """
-        pool = GrowingScratchPool()
+        pool = ScratchPool()
         shapes = sorted(SERVING_SHAPES, key=np.prod, reverse=True)
         for (batch, seq, d), masked in itertools.product(shapes, (False, True)):
             what = f"{batch}x{seq}x{d} masked={masked}"

@@ -313,8 +313,8 @@ class TestKernelProfiling:
         disable_kernel_profiling()
 
     @staticmethod
-    def _run_kernel(pool):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 8)))
+    def _run_kernel(pool, shape=(2, 4, 8)):
+        x = Tensor(np.random.default_rng(0).normal(size=shape))
         gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
         return fused_layer_norm(x, gamma, beta, 1e-5, pool).data
 
@@ -343,6 +343,14 @@ class TestKernelProfiling:
         assert warm["misses"] == cold["misses"]
         assert warm["hits"] == cold["hits"] + cold["misses"]
         assert warm["bytes_served"] > cold["bytes_served"]
+        self._run_kernel(pool, shape=(1, 3, 8))   # smaller: prefix views hit
+        small = profiler.snapshot()["pool"]
+        assert small["misses"] == warm["misses"]
+        assert small["bytes_allocated"] == warm["bytes_allocated"]
+        assert small["hits"] == warm["hits"] + cold["misses"]
+        assert 0 < small["bytes_served"] - warm["bytes_served"] < (
+            warm["bytes_served"] - cold["bytes_served"]
+        )
 
     def test_shared_registry(self):
         registry = MetricsRegistry()
