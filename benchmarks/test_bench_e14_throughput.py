@@ -619,12 +619,12 @@ def _model_times() -> dict[str, float]:
 
     ``forward``: the tape-free eval forward (the serving fast path behind
     ``predict_logits``) in its serving configuration — exact-length bucket,
-    so no attention mask (the engine's exact-length buckets), and
-    ``record_attention=False`` (serving never reads attention maps; the
-    reference module loop always records them, as the old serving path
-    did) — vs the composed module-graph loop on a classifier with the same
-    weights.  Logits are bit-identical (asserted below), so the ratio is
-    tape/dispatch/allocation overhead plus the recording copies.
+    so no attention mask (the engine's exact-length buckets), and no
+    attention maps recorded (the fast path serves logits only; the
+    reference module loop always records them) — vs the composed
+    module-graph loop on a classifier with the same weights.  Logits are
+    bit-identical (asserted below), so the ratio is tape/dispatch/allocation
+    overhead plus the recording copies.
     """
     from repro.core import FinetuneConfig, SequenceClassifier
     from repro.nn import Adam, Trainer, cross_entropy
@@ -672,7 +672,6 @@ def _model_times() -> dict[str, float]:
     eval_batch = eval_rows if SMOKE else SERVING_BATCH_SIZE
     eval_ids = rng.integers(0, vocab, (eval_rows, eval_seq))
     classifier = build(True, max_len=eval_seq)
-    classifier.record_attention = False  # the serving configuration
     # Same seed -> same weights, composed modules.
     composed = build(False, max_len=eval_seq)
     fast = lambda: classifier.predict_logits(  # noqa: E731 - timed thunk

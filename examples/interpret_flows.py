@@ -60,7 +60,8 @@ def main() -> None:
         print(f"\n=== context {index}: true={context.label}, "
               f"predicted={labels.classes[predicted]} ===")
 
-        classifier.predict(ids[index:index + 1], mask[index:index + 1])
+        # The module forward records the attention maps (serving does not).
+        classifier.predict_logits_reference(ids[index:index + 1], mask[index:index + 1])
         rollout = attention_rollout(classifier.model.attention_maps())[0]
         top_attention = np.argsort(-rollout[: len(context.tokens)])[:5]
         print("  attention rollout (top tokens): "

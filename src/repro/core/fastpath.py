@@ -36,9 +36,13 @@ Four serving contracts live here rather than in the engine or the kernels:
   keeps the full forward: the cut would replace per-item ``(s, ·)``
   products by ``(b, ·)`` gemms, whose row bits depend on ``b`` at
   ``d_ff`` 512 on OpenBLAS (``docs/NN.md``).
-* **Attention recording.**  Each layer's ``last_attention`` is written
-  exactly as the module forward would, so attention rollout and the other
-  interpretability consumers see identical maps.
+* **Logits only.**  No attention map is recorded: every call clears each
+  layer's ``last_attention`` and runs ``eval_attention(...,
+  need_weights=False)``, so ``attention_maps()`` after a fast-path call
+  (an empty one too) is ``[]``, never a previous forward's maps.
+  Interpretability reads the maps the module forward records
+  (:meth:`SequenceClassifier.predict_logits_reference
+  <repro.core.finetuning.SequenceClassifier.predict_logits_reference>`).
 * **Live parameters.**  Parameter arrays are re-read from the modules on
   every call: fine-tune further and the fast path serves the new weights
   with no invalidation step.
@@ -59,7 +63,7 @@ class EvalForward:
 
     Drop-in for the module-graph ``predict_logits`` loop (same chunking, same
     range checks, same kernels, so bit-identical float64 logits) minus the
-    autograd overhead.  Not a
+    autograd overhead and the attention maps.  Not a
     Module: it owns no parameters, only scratch buffers sized by the largest
     batch shape, and never touches the train/eval flags of the model it reads.
     The classifier it serves is passed in on every call rather than stored,
@@ -79,6 +83,8 @@ class EvalForward:
         batch_size: int = 64,
     ) -> np.ndarray:
         model = classifier.model
+        for layer in model.encoder.layers:
+            layer.attention.last_attention = None
         token_ids = np.asarray(token_ids, dtype=np.int64)
         dtype = model.token_embedding.weight.data.dtype
         if len(token_ids) == 0:
@@ -142,34 +148,25 @@ class EvalForward:
 
         mask = None if valid is None else ~valid[:, None, None, :]
 
-        # Attention-map recording costs a (batch, heads, seq, seq) copy per
-        # layer — pure memcpy that serving never reads.  The classifier's
-        # ``record_attention`` flag (default True, so interpretability
-        # consumers keep working unchanged) lets a serving deployment skip
-        # it; maps are then cleared, so a stale read fails loudly
-        # (``attention_maps()`` returns ``[]``) instead of silently
-        # returning a previous batch's weights.
-        record = classifier.record_attention
         blk = pool.take("blk", (b, s, d), dtype)
         layers = model.encoder.layers
         # Float32 [CLS]-only tail: after the last layer's attention (queries
-        # and recorded maps over every position, as before) only the [CLS]
-        # rows reach the head, so only they run the rest of the layer.
+        # over every position) only the [CLS] rows reach the head, so only
+        # they run the rest of the layer.
         cut = len(layers) - 1 if dtype == np.float32 else None
         for index, layer in enumerate(layers):
             # x = x + out_proj(attention(norm1(x)))
             layer_norm(layer.norm1, x, blk)
             att = layer.attention
-            merged, weights = eval_attention(
+            merged, _ = eval_attention(
                 blk,
                 att.q_proj.weight.data, att.q_proj.bias.data,
                 att.k_proj.weight.data, att.k_proj.bias.data,
                 att.v_proj.weight.data, att.v_proj.bias.data,
                 att.num_heads, mask, pool,
                 out=pool.take("att_merged", (b, s, d), dtype),
-                need_weights=record,
+                need_weights=False,
             )
-            att.last_attention = weights[:keep].copy() if record else None
             if index == cut:
                 # (b, 1, d) [CLS] views in, contiguous (b, 1, d) buffers out:
                 # after the two residual swaps the final norm writes into

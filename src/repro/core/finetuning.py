@@ -83,13 +83,6 @@ class SequenceClassifier(Module):
         self.head = Linear(model.config.d_model, num_classes, rng=rng)
         self.num_classes = num_classes
         self._fastpath = None
-        #: Record each layer's attention weights during ``predict_logits``
-        #: (``model.attention_maps()`` — the interpretability contract).
-        #: Recording copies a ``(batch, heads, seq, seq)`` array per layer;
-        #: serving deployments that never read maps set this to False and
-        #: the eval fast path skips the copies (maps are cleared, so a
-        #: stale read fails loudly instead of returning old weights).
-        self.record_attention = True
 
     def forward(self, token_ids: np.ndarray, attention_mask: np.ndarray | None = None) -> Tensor:
         cls = self.model.encode_cls(token_ids, attention_mask=attention_mask)
@@ -108,15 +101,15 @@ class SequenceClassifier(Module):
         once, into the replica's own array.  No second model is
         constructed, so nothing is randomly initialized only to be
         overwritten.  The replica carries the cast parameters, a copy of
-        the model config, ``record_attention`` and copies of this
-        classifier's dropout generator states; it carries no gradients, no
-        recorded attention maps, no eval fast path and no scratch buffers,
-        and it starts in train mode like a fresh build.  The original keeps
-        training in float64 as the reference; the replica's eval forwards
-        take the packed float32 kernels under the documented-ulp policy
-        (:mod:`repro.nn.numeric`).  ``serving_build("float64")`` is a plain
-        replica (useful for symmetric comparisons).  A dtype with no
-        numeric policy raises ``ValueError``.
+        the model config and copies of this classifier's dropout generator
+        states; it carries no gradients, no recorded attention maps, no eval
+        fast path and no scratch buffers, and it starts in train mode like a
+        fresh build.  The original keeps training in float64 as the
+        reference; the replica's eval forwards take the packed float32
+        kernels under the documented-ulp policy (:mod:`repro.nn.numeric`).
+        ``serving_build("float64")`` is a plain replica (useful for
+        symmetric comparisons).  A dtype with no numeric policy raises
+        ``ValueError``.
         """
         numeric_policy(dtype)
         dtype = np.dtype(dtype)
@@ -221,13 +214,10 @@ class SequenceClassifier(Module):
         to the module-graph loop below and additionally guarantees float64
         batch invariance: a float64 singleton chunk runs as a duplicated
         pair, so 1-row logits match the same row served inside any batch
-        (float32 builds hold the ``logits`` ulp budget instead).  The composed
-        reference loop stays available as :meth:`predict_logits_reference`
-        (and is used when ``config.fused`` is off).
-
-        No packed trimming here: interpretability consumers read the
-        recorded attention maps and expect them aligned with the input
-        width (the serving engine trims before calling in).
+        (float32 builds hold the ``logits`` ulp budget instead).  The fast
+        path records no attention maps (``model.attention_maps()`` is then
+        ``[]``); the composed reference loop, :meth:`predict_logits_reference`
+        (also used when ``config.fused`` is off), records them.
         """
         if self.model.config.fused:
             if self._fastpath is None:
@@ -241,7 +231,9 @@ class SequenceClassifier(Module):
         self, token_ids: np.ndarray, attention_mask: np.ndarray, batch_size: int = 64
     ) -> np.ndarray:
         """The module-graph eval loop (the differential baseline for
-        :class:`~repro.core.fastpath.EvalForward`)."""
+        :class:`~repro.core.fastpath.EvalForward`).  It leaves each layer's
+        attention weights for the last chunk in ``model.attention_maps()``,
+        the input of :mod:`repro.interpret`'s attention tools."""
         token_ids = np.asarray(token_ids)
         if len(token_ids) == 0:
             return np.zeros((0, self.num_classes), dtype=self.model_dtype)

@@ -118,7 +118,8 @@ class NetFoundationModel(Module):
         return self.token_embedding.weight.data.copy()
 
     def attention_maps(self) -> list[np.ndarray]:
-        """Per-layer attention maps of the most recent forward pass."""
+        """Per-layer attention maps of the most recent module forward
+        (``[]`` after the logits-only eval fast path)."""
         return self.encoder.attention_maps()
 
 

@@ -23,7 +23,7 @@ def cls_attention(attention_maps: list[np.ndarray], layer: int = -1) -> np.ndarr
     Array of shape ``(batch, seq)``: how much CLS attends to each position.
     """
     if not attention_maps:
-        raise ValueError("no attention maps recorded; run a forward pass first")
+        raise ValueError("no attention maps recorded; run predict_logits_reference first")
     chosen = attention_maps[layer]
     return chosen.mean(axis=1)[:, 0, :]
 
@@ -36,7 +36,7 @@ def attention_rollout(attention_maps: list[np.ndarray], add_residual: bool = Tru
     attention of the CLS position over input tokens, shape ``(batch, seq)``.
     """
     if not attention_maps:
-        raise ValueError("no attention maps recorded; run a forward pass first")
+        raise ValueError("no attention maps recorded; run predict_logits_reference first")
     rollout = None
     for layer_map in attention_maps:
         averaged = layer_map.mean(axis=1)  # (batch, seq, seq)

@@ -525,6 +525,8 @@ def eval_attention(
     normalizes the score matrix (those bits are its contract), so there
     ``need_weights=False`` only drops the weights from the result.  The
     weights are a pooled view, valid until the next call on ``pool``.
+    :func:`fused_attention` asks for them (the module forward records
+    them); the logits-only serving fast path never does.
     """
     if data.dtype == np.float32:
         return eval_attention_packed(

@@ -409,7 +409,8 @@ class SupervisedForward:
                 else:
                     self.condemned = repr(error)
         classes = getattr(self._classifier, "num_classes", None) or 2
-        return np.full((len(token_ids), int(classes)), np.nan)
+        dtype = getattr(self._classifier, "model_dtype", "float64")
+        return np.full((len(token_ids), int(classes)), np.nan, dtype=dtype)
 
     def _restart(self, error, rows: int) -> None:
         self.sleep(self.backoff * 2 ** self.restarts)

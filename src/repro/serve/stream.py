@@ -13,11 +13,11 @@ Three sources cover the deployment shapes the paper cares about:
 * :class:`ColumnsSource` — replay an in-memory batch (the testing and
   benchmarking workhorse);
 * :class:`PcapReplaySource` — replay a capture file through the columnar
-  reader, by default with :class:`lazy application decode
+  reader, always with :class:`lazy application decode
   <repro.net.pcap.LazyDecodeColumns>` so byte-level serving never pays for
   DNS/HTTP/TLS parsing;
 * :class:`ScenarioSource` — wrap any traffic generator with a
-  ``generate_columns()`` / ``generate()`` method as a live-traffic simulator.
+  ``generate_columns()`` method as a live-traffic simulator.
 
 All three share optional timestamp pacing: ``pace=1.0`` replays at capture
 speed (sleeping between chunks), ``pace=10.0`` at 10x, ``pace=None`` (the
@@ -213,12 +213,11 @@ class ColumnsSource(PacketSource):
 class PcapReplaySource(PacketSource):
     """Replay a pcap capture through :func:`~repro.net.pcap.read_pcap_columns`.
 
-    ``lazy_decode`` defaults to True: chunks propagate the pending
-    application decode, so a byte-level serving pipeline parses the capture
-    without ever decoding DNS/HTTP/TLS payloads, while a field-aware
-    pipeline materializes them on first ``app_kind`` access.  A shared
-    ``decode_cache`` carries the decode memoization across successive
-    captures of the same traffic mix.
+    The read is always lazy: chunks propagate the pending application
+    decode, so a byte-level serving pipeline parses the capture without
+    ever decoding DNS/HTTP/TLS payloads, while a field-aware pipeline
+    materializes them on first ``app_kind`` access.  Each replay pass
+    memoizes decodes in a cache of its own.
 
     ``errors="quarantine"`` reads damaged captures tolerantly
     (:func:`read_pcap_columns`'s tolerant mode): the clean prefix streams
@@ -233,23 +232,18 @@ class PcapReplaySource(PacketSource):
         path,
         chunk_rows: int = 256,
         pace: float | None = None,
-        decode_cache: dict | None = None,
-        lazy_decode: bool = True,
         errors: str = "strict",
     ):
         check_errors_mode(errors)
         super().__init__(chunk_rows=chunk_rows, pace=pace)
         self.path = path
-        self.decode_cache = decode_cache
-        self.lazy_decode = lazy_decode
         self.errors_mode = errors
         #: Skipped-record provenance from the most recent replay pass.
         self.errors: list = []
 
     def _columns(self) -> PacketColumns:
         columns = read_pcap_columns(
-            self.path, decode_cache=self.decode_cache,
-            lazy_decode=self.lazy_decode, errors=self.errors_mode,
+            self.path, lazy_decode=True, errors=self.errors_mode
         )
         if self.errors_mode == "quarantine":
             columns, self.errors = columns
@@ -260,9 +254,9 @@ class ScenarioSource(PacketSource):
     """Simulate live traffic by replaying a generator's columnar trace.
 
     Accepts any of :mod:`repro.traffic`'s scenario/workload generators —
-    objects with ``generate_columns()`` (preferred) or ``generate()``.  Each
-    iteration regenerates the scenario, so a seeded generator replays the
-    identical trace and an unseeded one streams fresh traffic per pass.
+    any object with ``generate_columns()``.  Each iteration regenerates the
+    scenario, so a seeded generator replays the identical trace and an
+    unseeded one streams fresh traffic per pass.
     """
 
     def __init__(
@@ -275,6 +269,4 @@ class ScenarioSource(PacketSource):
         self.scenario = scenario
 
     def _columns(self) -> PacketColumns:
-        if hasattr(self.scenario, "generate_columns"):
-            return self.scenario.generate_columns()
-        return PacketColumns.from_packets(self.scenario.generate())
+        return self.scenario.generate_columns()

@@ -85,37 +85,29 @@ class TraceConfig:
 
 
 class TrafficGenerator:
-    """Base class: subclasses implement :meth:`_plan` (or legacy :meth:`generate`).
+    """Base class: subclasses implement :meth:`_plan`.
 
-    Plan-based generators describe one run as a
+    A generator describes one run as a
     :class:`~repro.traffic.columnar.TracePlan` of vectorized draws;
     :meth:`generate` materializes it as ``Packet`` objects and
     :meth:`generate_columns` as a native
     :class:`~repro.net.columns.PacketColumns` batch — bit-identical results
     (same seed), with the columnar side skipping per-packet objects entirely.
-    Subclasses that only implement :meth:`generate` still get
-    :meth:`generate_columns` through a one-shot conversion.
     """
 
     def __init__(self, config: TraceConfig | None = None):
         self.config = config or TraceConfig()
 
     def _plan(self):
-        """Build this run's :class:`~repro.traffic.columnar.TracePlan` (or None)."""
-        return None
+        """Build this run's :class:`~repro.traffic.columnar.TracePlan`."""
+        raise NotImplementedError
 
     def generate(self) -> list[Packet]:
-        plan = self._plan()
-        if plan is None:
-            raise NotImplementedError
-        return plan.to_packets()
+        return self._plan().to_packets()
 
     def generate_columns(self) -> PacketColumns:
         """The trace as a native columnar batch (no ``Packet`` objects)."""
-        plan = self._plan()
-        if plan is None:
-            return PacketColumns.from_packets(self.generate())
-        return plan.to_columns()
+        return self._plan().to_columns()
 
 
 def merge_traces(*traces) -> "list[Packet] | PacketColumns":

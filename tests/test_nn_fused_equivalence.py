@@ -360,18 +360,42 @@ class TestEvalFastPath:
             lone = f32.predict_logits(ids[row : row + 1], mask[row : row + 1])
             assert_within_ulp(lone[0], full[row], budget, f"row {row} alone")
 
-    def test_attention_maps_match_module_loop(self):
-        clf = self._classifier()
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_fast_path_records_no_maps(self, dtype):
+        """The fast path serves logits only: right after the module loop
+        recorded maps, a fast-path call leaves none to read."""
+        clf = self._classifier().serving_build(dtype)
         rng = np.random.default_rng(8)
         ids = rng.integers(0, 37, (3, 7))
         mask = random_mask(rng, 3, 7)
-        clf.predict_logits(ids, mask)
-        fast_maps = [m.copy() for m in clf.model.attention_maps()]
-        clf.predict_logits_reference(ids, mask)
-        ref_maps = clf.model.attention_maps()
-        assert len(fast_maps) == len(ref_maps) == clf.model.config.num_layers
-        for fm, rm in zip(fast_maps, ref_maps):
-            assert np.array_equal(fm, rm)
+        for rows in (3, 0):
+            clf.predict_logits_reference(ids, mask)
+            maps = clf.model.attention_maps()
+            assert len(maps) == clf.model.config.num_layers
+            assert all(m.shape == (3, 2, 7, 7) and m.dtype == dtype for m in maps)
+            clf.predict_logits(ids[:rows], mask[:rows])
+            assert clf.model.attention_maps() == []
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_reference_maps_match_composed_model(self, num_layers, masked):
+        """The one recorder, the module forward, writes the same float64
+        maps through the fused kernel as through the composed ops."""
+        fused, composed = build_model_pair(num_layers=num_layers)
+        fused = SequenceClassifier(fused, 4, FinetuneConfig(dropout=0.0))
+        composed = SequenceClassifier(composed, 4, FinetuneConfig(dropout=0.0))
+        rng = np.random.default_rng(num_layers)
+        ids = rng.integers(0, 37, (6, 17))
+        mask = random_mask(rng, 6, 17) if masked else None
+        assert np.array_equal(
+            fused.predict_logits_reference(ids, mask),
+            composed.predict_logits_reference(ids, mask),
+        )
+        ours, theirs = fused.model.attention_maps(), composed.model.attention_maps()
+        assert len(ours) == len(theirs) == num_layers
+        for got, expected in zip(ours, theirs):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("batch", [2, 3, 7, 25])
     @pytest.mark.parametrize("seq", [10, 31])
@@ -446,46 +470,29 @@ class TestFloat32ClsTail:
         oracle = SequenceClassifier(reference, 4, FinetuneConfig(dropout=0.0))
         return clf.serving_build("float32"), oracle
 
-    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("after_reference", [False, True])
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("seq", [1, 2, 3, 31])
     @pytest.mark.parametrize("batch", [1, 5])
-    def test_logits_within_budget_of_oracle(self, batch, seq, masked, num_layers, record):
+    def test_logits_within_budget_of_oracle(
+        self, batch, seq, masked, num_layers, after_reference
+    ):
+        """Within budget and logits-only, also right after the module loop
+        recorded maps on the same build."""
         f32, oracle = self._pair(num_layers)
-        f32.record_attention = record
         rng = np.random.default_rng(batch * 1000 + seq)
         ids = rng.integers(0, 37, (batch, seq))
         mask = random_mask(rng, batch, seq) if masked else None
+        if after_reference:
+            f32.predict_logits_reference(ids, mask)
+            assert len(f32.model.attention_maps()) == num_layers
         logits = f32.predict_logits(ids, mask)
         expected = oracle.predict_logits_reference(ids, mask)
         assert logits.dtype == np.float32
         assert_within_ulp(logits, expected, ulp_budget("logits"), "f32 [CLS] tail")
         assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
-
-    @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_recorded_maps_are_those_of_the_full_layer(self, num_layers, masked):
-        """Every recorded map equals the same layer's map inside a deeper
-        model, where that layer runs uncut on every position."""
-        deep, _ = self._pair(num_layers + 1)
-        fused, _ = build_model_pair(num_layers=num_layers, max_len=32)
-        shallow = SequenceClassifier(fused, 4, FinetuneConfig(dropout=0.0))
-        extra = f".layers.items.{num_layers}."
-        shallow.load_state_dict(
-            {k: v for k, v in deep.state_dict().items() if extra not in k}
-        )
-        shallow = shallow.serving_build("float32")
-        rng = np.random.default_rng(num_layers)
-        ids = rng.integers(0, 37, (6, 17))
-        mask = random_mask(rng, 6, 17) if masked else None
-        shallow.predict_logits(ids, mask)
-        deep.predict_logits(ids, mask)
-        maps = shallow.model.attention_maps()
-        assert len(maps) == num_layers
-        for got, full in zip(maps, deep.model.attention_maps()):
-            assert got.dtype == np.float32
-            assert np.array_equal(got, full)
+        assert f32.model.attention_maps() == []
 
 
 class TestFloat32Discipline:

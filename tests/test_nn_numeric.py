@@ -453,6 +453,8 @@ def _used_classifier():
     classifier(ids).sum().backward()
     classifier.eval()
     classifier.predict_logits(ids, None)
+    # The fast path records nothing; the module loop leaves the maps.
+    classifier.predict_logits_reference(ids, None)
     return classifier
 
 
@@ -467,7 +469,6 @@ def _replica_by_construction(source, dtype):
     replica.load_state_dict(source.state_dict())
     for param in replica.parameters():
         param.data = param.data.astype(dtype)
-    replica.record_attention = source.record_attention
     return replica
 
 
@@ -537,24 +538,26 @@ class TestServingReplica:
         assert source.model.attention_maps() and source._fastpath is not None
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("record", [True, False])
-    def test_logits_equal_a_replica_built_by_construction(self, dtype, record):
+    @pytest.mark.parametrize("path", ["fast", "reference"])
+    def test_logits_equal_a_replica_built_by_construction(self, dtype, path):
+        """Same logits on either forward; only the module loop records
+        maps, and those are equal too."""
         source = _used_classifier()
-        source.record_attention = record
         name = np.dtype(dtype).name
         replica = source.serving_build(name)
         reference = _replica_by_construction(source, name)
-        assert replica.record_attention is record
+        forward = "predict_logits" if path == "fast" else "predict_logits_reference"
         rng = np.random.default_rng(8)
         for batch, seq in [(1, 7), (2, 1), (5, 16), (9, 33)]:
             ids = rng.integers(0, 37, (batch, seq))
             mask = np.ones((batch, seq), dtype=bool)
             mask[0, seq // 2 + 1 :] = False
             assert np.array_equal(
-                replica.predict_logits(ids, mask), reference.predict_logits(ids, mask)
+                getattr(replica, forward)(ids, mask),
+                getattr(reference, forward)(ids, mask),
             )
             ours, theirs = replica.model.attention_maps(), reference.model.attention_maps()
-            assert len(ours) == len(theirs) == (2 if record else 0)
+            assert len(ours) == len(theirs) == (0 if path == "fast" else 2)
             assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
     def test_builds_without_random_init(self, monkeypatch):

@@ -182,7 +182,7 @@ class TestExplanations:
 
     def test_attention_explanations(self, tiny_classifier):
         classifier, _, _, ids, mask, _ = tiny_classifier
-        classifier.predict(ids[:2], mask[:2])
+        classifier.predict_logits_reference(ids[:2], mask[:2])
         maps = classifier.model.attention_maps()
         cls_weights = cls_attention(maps)
         rolled = attention_rollout(maps)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.context import FlowContextBuilder, SessionContextBuilder
 from repro.core import NetFMConfig, NetFoundationModel, SequenceClassifier
-from repro.net import FlowTable, PacketColumns, build_packet, write_pcap
+from repro.net import FlowTable, PacketColumns, build_packet, read_pcap_columns, write_pcap
 from repro.serve import (
     ColumnsSource,
     FlowRecord,
@@ -839,7 +839,7 @@ class TestSources:
         assert sum(len(c) for c in chunks) == len(columns)
         # Lazy decode: chunks keep the pending state until apps are touched.
         assert all(getattr(c, "decode_pending", False) for c in chunks)
-        eager = list(PcapReplaySource(path, chunk_rows=64, lazy_decode=False))
+        eager = list(chunk_columns(read_pcap_columns(path), 64))
         for lazy, plain in zip(chunks, eager):
             assert np.array_equal(lazy.app_kind, plain.app_kind)
             assert lazy.applications == plain.applications
@@ -982,8 +982,6 @@ class CountingBuilder:
 @pytest.fixture(scope="module")
 def parsed_capture(capture, tmp_path_factory):
     """The capture written to pcap and read back lazily: no metadata ids."""
-    from repro.net import read_pcap_columns
-
     _, packets = capture
     path = tmp_path_factory.mktemp("batched") / "capture.pcap"
     write_pcap(path, packets)

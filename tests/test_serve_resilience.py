@@ -544,6 +544,24 @@ class TestWorkerSupervision:
             record_key(r) for r in records if r.cache_key in keys
         )
 
+    @pytest.mark.parametrize("build", ["float64", "float32"])
+    def test_degraded_logits_keep_the_build_dtype(self, scenario, build):
+        # A condemned worker's stand-in rows are built in the served dtype,
+        # so a float32 engine under degrade emits float32 zero logits.
+        plan = FaultPlan((FaultSpec("forward", 0, "raise", count=2),))
+        engine = make_engine(
+            scenario, scenario["classifier"].serving_build(build), cache=None
+        )
+        predictions, _ = run_resilient(
+            scenario, engine=engine, policy="degrade", fault_plan=plan,
+            max_restarts=1, restart_backoff=0.0,
+        )
+        assert plan.fired
+        assert predictions and all(p.degraded for p in predictions)
+        for p in predictions:
+            assert p.logits.dtype == np.dtype(build)
+            assert not p.logits.any()
+
     def test_backoff_is_exponential(self):
         sleeps = []
         report = ServingReport()

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.net import PacketColumns, build_packet
+from repro.net import PacketColumns
 from repro.traffic import (
     AttackConfig,
     AttackGenerator,
@@ -107,14 +107,18 @@ class TestGeneratorColumnEquivalence:
         for row, packet in enumerate(packets):
             assert matrix[row, : lengths[row]].tobytes() == packet.to_bytes()
 
-    def test_generator_without_plan_falls_back_to_conversion(self):
-        class ListOnly(TrafficGenerator):
-            def generate(self):
-                return [build_packet(0.5, "10.0.0.1", "10.0.0.2", "TCP", 1234, 80)]
-
-        columns = ListOnly().generate_columns()
-        assert len(columns) == 1
-        assert columns.to_packets() == ListOnly().generate()
+    def test_every_generator_is_plan_based(self):
+        # Both materializers build from ``_plan``; the base class has none.
+        library = [
+            cls for cls in TrafficGenerator.__subclasses__()
+            if cls.__module__.startswith("repro.")
+        ]
+        assert len(library) >= 5
+        assert all("_plan" in vars(cls) for cls in library)
+        with pytest.raises(NotImplementedError):
+            TrafficGenerator().generate()
+        with pytest.raises(NotImplementedError):
+            TrafficGenerator().generate_columns()
 
 
 class TestColumnarCaptureEffects:
