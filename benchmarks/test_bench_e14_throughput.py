@@ -370,13 +370,13 @@ def _serving_times() -> dict[str, float]:
     The unbatched side is the pre-engine serving approach: one solver-path
     forward per flow — ``predict_logits`` on the flow's encoded row exactly
     as the offline solver consumes it (padded to the builder's
-    ``max_tokens``, batch of one).  The batched side is the
-    :class:`~repro.serve.engine.InferenceEngine`: exact-length micro-batches
-    trimmed to their own width with attention masking skipped (no padding in
-    the batch), cache disabled so the gated ratio measures batching +
-    bucketing, not memoization.  A second, cache-enabled pass reports the
-    realistic hit rate and the latency/throughput scorecard for
-    BENCH_e14.json.
+    ``max_tokens``, batch of one; the forward scores it over its own
+    prefix).  The batched side is the
+    :class:`~repro.serve.engine.InferenceEngine` with no clock: every
+    ``max_pending`` flows run in one length-sorted ragged forward, cache
+    disabled so the gated ratio measures batching, not memoization.  A
+    second, cache-enabled pass reports the realistic hit rate and the
+    latency/throughput scorecard for BENCH_e14.json.
     """
     from repro.core import SequenceClassifier
     from repro.serve import (

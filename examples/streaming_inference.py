@@ -8,9 +8,11 @@ An end-to-end `repro.serve` deployment:
 3. assemble flows incrementally with NetFlow-style idle timeouts — every
    closed flow's encoded context is bit-identical to what the offline
    pipeline would produce for the same trace;
-4. serve the closed flows through the micro-batching ``InferenceEngine``
+4. serve the closed flows through the ``InferenceEngine``, which runs every
+   pending flow in one ragged forward at each tick of the stream clock,
    with an LRU prediction cache keyed by the encoded context;
-5. print the serving scorecard: throughput, p50/p99 latency, cache hits.
+5. print the serving scorecard: throughput, p50/p99 latency, the lag from
+   a flow's last packet to its prediction, cache hits.
 
 Run with:  python examples/streaming_inference.py
 """
@@ -93,12 +95,15 @@ def main() -> None:
           f"  ({summary['packets_per_s']:.0f} packets/s)")
     print(f"        latency           p50 {summary['p50_ms']:.2f} ms"
           f"  p99 {summary['p99_ms']:.2f} ms")
-    print(f"        micro-batches     {summary['batches']}"
+    print(f"        forward runs      {summary['batches']}"
           f"  (mean size {summary['mean_batch']:.1f})")
     triggers = ", ".join(
         f"{name} {count}" for name, count in summary["batches_by_trigger"].items()
     )
-    print(f"        batch triggers    {triggers}")
+    print(f"        run triggers      {triggers}")
+    if summary["last_packet_to_emit_p50_s"] is not None:
+        print(f"        last packet->emit p50 {summary['last_packet_to_emit_p50_s']:.2f} s"
+              f"  p99 {summary['last_packet_to_emit_p99_s']:.2f} s (capture time)")
     print(f"        cache hit rate    {summary['cache_hit_rate']:.1%}")
     print("        predicted classes:")
     for label, count in served.most_common():

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..nn.autograd import Tensor, no_grad
 from ..nn.data import pack_batches
+from ..nn.kernels import RaggedLayout
 from ..nn.layers import Dropout, Linear
 from ..nn.losses import cross_entropy
 from ..nn.metrics import accuracy, macro_f1, weighted_f1
@@ -23,6 +24,7 @@ from ..nn.numeric import numeric_policy
 from ..nn.optim import AdamW
 from ..nn.schedules import WarmupLinearSchedule
 from ..nn.trainer import Trainer, TrainingHistory
+from .fastpath import EvalForward, length_chunks, prefix_lengths
 from .model import NetFoundationModel
 
 __all__ = ["FinetuneConfig", "SequenceClassifier", "LabelEncoder"]
@@ -198,31 +200,27 @@ class SequenceClassifier(Module):
     ) -> np.ndarray:
         """Raw eval-mode logits (no dropout, no grad) for encoded inputs.
 
-        The batched forward the serving engine micro-batches over.  Rows are
-        computed independently (attention is masked per row, normalization
-        and projections are row-wise): a row's logits are a function of its
-        own tokens and the forward width only, not of what else is in the
-        batch — which is what makes length-bucketed micro-batching
-        deterministic (the same rows at the same width always produce the
-        same logits) and lets it match per-flow predictions.  Padding-width
-        changes can reorder BLAS accumulations at the last ulp, so class
-        predictions are stable across widths while raw logits are exactly
-        reproducible only at a fixed width.
+        The batched forward the serving engine runs.  ``attention_mask``
+        must be a non-empty prefix mask per row (``None``: every row is
+        full width), and each row is scored over its own valid prefix:
+        rows are sorted by length (stably) and cut into ``batch_size``-row
+        chunks, and a chunk mixes lengths without padding.  A row's logits
+        are therefore a function of its own tokens, not of the width it
+        was padded to or of what else is in the call — in float64 to the
+        last bit (a 1-row float64 chunk runs its head on a duplicated
+        pair, since a 1-row gemm takes another BLAS path), in float32
+        within the ``logits`` ulp budget.  A mask row that is empty or not
+        a prefix raises ``ValueError``.
 
         With a fused model (the default) this dispatches to the tape-free
         :class:`~repro.core.fastpath.EvalForward`, which is bit-identical
-        to the module-graph loop below and additionally guarantees float64
-        batch invariance: a float64 singleton chunk runs as a duplicated
-        pair, so 1-row logits match the same row served inside any batch
-        (float32 builds hold the ``logits`` ulp budget instead).  The fast
-        path records no attention maps (``model.attention_maps()`` is then
-        ``[]``); the composed reference loop, :meth:`predict_logits_reference`
+        to the module-graph loop below on chunks of two or more rows.  The
+        fast path records no attention maps (``model.attention_maps()`` is
+        then ``[]``); the module loop, :meth:`predict_logits_reference`
         (also used when ``config.fused`` is off), records them.
         """
         if self.model.config.fused:
             if self._fastpath is None:
-                from .fastpath import EvalForward
-
                 self._fastpath = EvalForward()
             return self._fastpath(self, token_ids, attention_mask, batch_size=batch_size)
         return self.predict_logits_reference(token_ids, attention_mask, batch_size)
@@ -231,21 +229,53 @@ class SequenceClassifier(Module):
         self, token_ids: np.ndarray, attention_mask: np.ndarray, batch_size: int = 64
     ) -> np.ndarray:
         """The module-graph eval loop (the differential baseline for
-        :class:`~repro.core.fastpath.EvalForward`).  It leaves each layer's
-        attention weights for the last chunk in ``model.attention_maps()``,
-        the input of :mod:`repro.interpret`'s attention tools."""
+        :class:`~repro.core.fastpath.EvalForward`).
+
+        It trims like the fast path: in each length-sorted chunk, every
+        length group runs the module forward at its exact width with no
+        mask, and the head runs once over the chunk's ``[CLS]`` rows.  It
+        leaves each layer's attention weights for the last chunk in
+        ``model.attention_maps()`` — ``(rows, heads, width, width)`` with
+        the rows in input order and each row's map zero-padded from its
+        length to the input width — the input of :mod:`repro.interpret`'s
+        attention tools."""
         token_ids = np.asarray(token_ids)
         if len(token_ids) == 0:
             return np.zeros((0, self.num_classes), dtype=self.model_dtype)
-        outputs = []
+        width = token_ids.shape[1]
+        if width > self.model.config.max_len:
+            raise ValueError(
+                f"sequence length {width} exceeds max_len {self.model.config.max_len}"
+            )
+        lengths = prefix_lengths(attention_mask, token_ids.shape)
+        layers = self.model.encoder.layers
+        chunks = length_chunks(lengths, batch_size)
+        out = np.empty((len(token_ids), self.num_classes), dtype=self.model_dtype)
         with self.eval_mode(), no_grad():
-            for start in range(0, len(token_ids), batch_size):
-                mask = attention_mask
-                if mask is not None:
-                    mask = mask[start : start + batch_size]
-                logits = self(token_ids[start : start + batch_size], attention_mask=mask)
-                outputs.append(logits.data)
-        return np.concatenate(outputs, axis=0)
+            for index, rows in enumerate(chunks):
+                layout = RaggedLayout(lengths[rows], layers[0].attention.num_heads)
+                last = index == len(chunks) - 1
+                if last:
+                    maps = [None] * len(layers)
+                    slot = np.argsort(np.argsort(rows))  # input-order position
+                cls = []
+                for s, a, b, _, _ in layout.groups:
+                    cls.append(self.model.encode_cls(token_ids[rows[a:b], :s]).data)
+                    if not last:
+                        continue
+                    for i, layer in enumerate(layers):
+                        weights = layer.attention.last_attention
+                        if maps[i] is None:
+                            maps[i] = np.zeros(
+                                (len(rows), weights.shape[1], width, width),
+                                dtype=weights.dtype,
+                            )
+                        maps[i][slot[a:b], :, :s, :s] = weights
+                logits = self.head(self.dropout(Tensor(np.concatenate(cls))))
+                out[rows] = logits.data
+        for layer, weights in zip(layers, maps):
+            layer.attention.last_attention = weights
+        return out
 
     def predict_proba(
         self, token_ids: np.ndarray, attention_mask: np.ndarray, batch_size: int = 64

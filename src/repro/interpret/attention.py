@@ -34,6 +34,9 @@ def attention_rollout(attention_maps: list[np.ndarray], add_residual: bool = Tru
     Accounts for residual connections by averaging each layer's attention with
     the identity before multiplying layers together.  Returns the rolled-out
     attention of the CLS position over input tokens, shape ``(batch, seq)``.
+    Rows that attend nowhere — the padding rows of the zero-padded maps
+    ``predict_logits_reference`` records — stay zero instead of dividing by
+    zero.
     """
     if not attention_maps:
         raise ValueError("no attention maps recorded; run predict_logits_reference first")
@@ -43,6 +46,9 @@ def attention_rollout(attention_maps: list[np.ndarray], add_residual: bool = Tru
         if add_residual:
             identity = np.eye(averaged.shape[-1])[None, :, :]
             averaged = 0.5 * averaged + 0.5 * identity
-        averaged = averaged / averaged.sum(axis=-1, keepdims=True)
+        sums = averaged.sum(axis=-1, keepdims=True)
+        averaged = np.divide(
+            averaged, sums, out=np.zeros_like(averaged), where=sums > 0
+        )
         rollout = averaged if rollout is None else np.matmul(rollout, averaged)
     return rollout[:, 0, :]

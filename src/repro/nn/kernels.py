@@ -31,10 +31,11 @@ enter as Python floats, which NumPy treats as weak — no silent float64
 upcast), so the same code path serves float64 and float32 models.
 
 The no-tape forward kernels (:func:`eval_layer_norm`,
-:func:`eval_attention`, :func:`eval_matmul`) are the one place the numeric
-policy (:mod:`repro.nn.numeric`) picks a kernel by dtype; the fused modules
-without a tape and the serving fast path (:mod:`repro.core.fastpath`) both
-call them.  Float64 runs the bit-exact replay.  Bit-identical replay pins
+:func:`eval_attention`, and the ragged serving kernels
+:func:`ragged_matmul`, :func:`ragged_attention`) are the one place the
+numeric policy (:mod:`repro.nn.numeric`) picks a kernel by dtype; the
+fused modules without a tape and the serving fast path
+(:mod:`repro.core.fastpath`) call them.  Float64 runs the bit-exact replay.  Bit-identical replay pins
 the accumulation order, which also pins the BLAS call shapes — batched
 attention dispatches ``batch * heads`` tiny gemms and last-axis ufunc
 reductions run far slower than an equivalent gemv — so under the
@@ -42,8 +43,8 @@ relaxed-ulp policy float32 reassociates instead: the packed kernels
 (:func:`eval_attention_packed`, :func:`eval_layer_norm_packed`) run one
 ``(b*s, d) @ (d, 3d)`` gemm for all three QKV projections, head-packed
 contiguous ``(b*h, s, ·)`` 3D gemms for scores and context, and
-gemv-against-ones for the softmax/layernorm reductions, and projections
-fold the batch into one 2D gemm.
+gemv-against-ones for the softmax/layernorm reductions, and the ragged
+forward's projections run as one flat 2D gemm over every token.
 """
 
 from __future__ import annotations
@@ -69,9 +70,12 @@ __all__ = [
     "fused_masked_cross_entropy",
     "eval_layer_norm",
     "eval_attention",
-    "eval_matmul",
     "eval_layer_norm_packed",
     "eval_attention_packed",
+    "RaggedLayout",
+    "ragged_matmul",
+    "ragged_attention",
+    "ragged_cls_attention",
 ]
 
 
@@ -516,41 +520,22 @@ def eval_attention(
     mask: np.ndarray | None,
     pool: ScratchPool,
     out: np.ndarray | None = None,
-    need_weights: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """No-tape QKV + SDPA: ``(merged context, attention weights)``.
 
     Float32 runs :func:`eval_attention_packed` (relaxed-ulp policy);
-    float64 runs the bit-exact :func:`_attention_forward`, which always
-    normalizes the score matrix (those bits are its contract), so there
-    ``need_weights=False`` only drops the weights from the result.  The
-    weights are a pooled view, valid until the next call on ``pool``.
-    :func:`fused_attention` asks for them (the module forward records
-    them); the logits-only serving fast path never does.
+    float64 runs the bit-exact :func:`_attention_forward`.  The weights are
+    a pooled view, valid until the next call on ``pool``; the module
+    forward (:func:`fused_attention`) records them.  The logits-only
+    serving forward runs the ragged kernels below instead.
     """
     if data.dtype == np.float32:
         return eval_attention_packed(
-            data, wq, bq, wk, bk, wv, bv, num_heads, mask, pool,
-            out=out, need_weights=need_weights,
+            data, wq, bq, wk, bk, wv, bv, num_heads, mask, pool, out=out
         )
     params = (wq, bq, wk, bk, wv, bv)
     merged, weights, _ = _attention_forward(data, params, num_heads, mask, pool, False, out)
-    return merged, weights if need_weights else None
-
-
-def eval_matmul(src: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``src @ weight -> out`` for ``(b, s, ·)`` activations.
-
-    Float32 folds the batch into the rows so BLAS runs one large gemm
-    instead of ``b`` small ones; float64 keeps the 3D matmul the composed
-    path runs, bit for bit.
-    """
-    if src.dtype == np.float32:
-        rows = src.shape[0] * src.shape[1]
-        np.matmul(src.reshape(rows, -1), weight, out=out.reshape(rows, -1))
-    else:
-        np.matmul(src, weight, out=out)
-    return out
+    return merged, weights
 
 
 # ----------------------------------------------------------------------
@@ -614,8 +599,7 @@ def eval_attention_packed(
     mask: np.ndarray | None,
     pool: ScratchPool,
     out: np.ndarray | None = None,
-    need_weights: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """QKV + SDPA with head-packed gemms (relaxed-ulp policy).
 
     BLAS sees a few large matrices instead of ``3 + 2 * b * h`` tiny ones:
@@ -623,18 +607,14 @@ def eval_attention_packed(
     pooled buffer, Q/K/V are repacked head-major (the bias added in the
     same pass) so the score and context matmuls are contiguous
     ``(b*h, s, ·)`` batched gemms, and the softmax denominator is a single
-    ``(b*h*s, s) @ (s,)`` gemv.  Three more reassociations keep the
+    ``(b*h*s, s) @ (s,)`` gemv.  Two more reassociations keep the
     elementwise passes off the big ``(b*h, s, s)`` score matrix: the
-    ``1/sqrt(dh)`` scale is folded into Q before the score gemm, the
+    ``1/sqrt(dh)`` scale is folded into Q before the score gemm, and the
     softmax stabilizer is a single flat max (NumPy's all-axes reduction is
     SIMD-vectorized while the per-row one is not) guarded by a spread
-    check that falls back to exact per-row maxima, and with
-    ``need_weights=False`` the softmax division moves to the 8x-smaller
-    context matrix (``ctx / denom == (exp / denom) @ v`` in real
-    arithmetic).  Returns ``(merged context, attention weights)``; the
-    weights are a pooled ``(b, h, s, s)`` view, valid until the next call
-    on the same pool — or ``None`` with ``need_weights=False``, where the
-    normalized weights are never materialized.
+    check that falls back to exact per-row maxima.  Returns ``(merged
+    context, attention weights)``; the weights are a pooled ``(b, h, s,
+    s)`` view, valid until the next call on the same pool.
     """
     b, s, d = data.shape
     h = num_heads
@@ -688,21 +668,257 @@ def eval_attention_packed(
     np.exp(scores, out=scores)
     denom = pool.take("attp_denom", (b * h * s,), dt)
     np.matmul(scores.reshape(b * h * s, s), _ones(pool, s, dt), out=denom)
-    weights = None
-    if need_weights:
-        scores /= denom.reshape(b * h, s, 1)
-        weights = scores.reshape(b, h, s, s)
+    scores /= denom.reshape(b * h, s, 1)
+    weights = scores.reshape(b, h, s, s)
 
     ctx = pool.take("attp_ctx", (b * h, s, dh), dt)
     np.matmul(scores, v3, out=ctx)
-    if not need_weights:
-        # Normalize the context instead of the score matrix: same real
-        # arithmetic, dh columns instead of s.
-        ctx /= denom.reshape(b * h, s, 1)
     if out is None:
         out = np.empty((b, s, d), dt)
     np.copyto(out.reshape(b, s, h, dh), ctx.reshape(b, h, s, dh).transpose(0, 2, 1, 3))
     return out, weights
+
+
+# ----------------------------------------------------------------------
+# Ragged eval kernels (the serving forward over rows of mixed length)
+# ----------------------------------------------------------------------
+
+class RaggedLayout:
+    """The flat token layout of one chunk of rows of mixed length.
+
+    Rows come sorted by length and lie end to end in a ``(tokens, d)``
+    activation: row ``i`` owns tokens ``offsets[i]:offsets[i + 1]``, its
+    ``[CLS]`` token first (``cls`` holds those first tokens).  Rows of one
+    length form a *group* ``(length, first row, stop row, first token,
+    stop token)``; its tokens are contiguous, so they view as the
+    ``(rows, length, d)`` batch an exact-width forward of just those rows
+    would run.  Nothing is padded.
+
+    Float32 attention also needs head-major index tables; they depend only
+    on the layout and the head count, so they are built once per chunk, on
+    first use, and shared by every layer.
+    """
+
+    __slots__ = (
+        "lengths", "rows", "tokens", "offsets", "cls", "positions", "groups",
+        "num_heads", "_tables",
+    )
+
+    def __init__(self, lengths, num_heads: int):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if (lengths < 1).any() or (np.diff(lengths) < 0).any():
+            raise ValueError("row lengths must be positive and sorted")
+        self.lengths = lengths
+        self.rows = len(lengths)
+        self.offsets = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.offsets[1:])
+        self.tokens = int(self.offsets[-1])
+        self.cls = self.offsets[:-1]
+        self.positions = np.arange(self.tokens) - np.repeat(self.cls, lengths)
+        bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), self.rows]
+        self.groups = [
+            (int(lengths[a]), a, b, int(self.offsets[a]), int(self.offsets[b]))
+            for a, b in zip(bounds, bounds[1:]) if b > a
+        ]
+        self.num_heads = num_heads
+        self._tables = None
+
+    def tables(self) -> dict:
+        """The float32 attention index tables (built once per layout).
+
+        With ``h`` heads, a ``(tokens, d)`` projection is ``tokens * h``
+        head rows of ``d / h`` values in token-major order.  ``head_major``
+        gathers them so that each group reads as ``(rows * h, length, ·)``
+        (the layout of the batched score and context gemms) and
+        ``token_major`` gathers them back.  ``score_starts`` holds where
+        each query's score row starts in the flat score buffer, with
+        ``score_spans`` each group's slice of it; ``cls_starts`` and
+        ``cls_spans`` are the same for ``[CLS]``-only queries.
+        """
+        if self._tables is not None:
+            return self._tables
+        h = self.num_heads
+        head_major = np.empty(self.tokens * h, dtype=np.int64)
+        score_starts = np.empty(self.tokens * h, dtype=np.int64)
+        cls_starts = np.empty(self.rows * h, dtype=np.int64)
+        score_spans, cls_spans = [], []
+        heads = np.arange(h)[None, :, None]
+        score, cls_score = 0, 0
+        for s, a, b, t0, t1 in self.groups:
+            g = b - a
+            tokens = t0 + np.arange(g)[:, None, None] * s + np.arange(s)
+            head_major[t0 * h : t1 * h] = (tokens * h + heads).ravel()
+            queries = g * h * s
+            score_starts[t0 * h : t1 * h] = score + np.arange(queries) * s
+            score_spans.append((score, score + queries * s))
+            score += queries * s
+            cls_starts[a * h : b * h] = cls_score + np.arange(g * h) * s
+            cls_spans.append((cls_score, cls_score + queries))
+            cls_score += queries
+        token_major = np.empty_like(head_major)
+        token_major[head_major] = np.arange(head_major.size)
+        self._tables = {
+            "head_major": head_major, "token_major": token_major,
+            "score_starts": score_starts, "score_spans": score_spans,
+            "score_size": score,
+            "cls_starts": cls_starts, "cls_spans": cls_spans,
+        }
+        return self._tables
+
+
+def ragged_matmul(
+    src: np.ndarray, weight: np.ndarray, out: np.ndarray, layout: RaggedLayout
+) -> np.ndarray:
+    """``src @ weight -> out`` over a ``(tokens, ·)`` ragged activation.
+
+    Float32 runs one flat 2-D gemm (rows are independent, so any
+    ``(rows, ·)`` activation works, such as the ``[CLS]`` rows alone).
+    Float64 runs each group as the 3-D per-item product the composed path
+    runs on those rows at their exact width, so every row keeps its
+    exact-width bits.
+    """
+    if src.dtype == np.float32:
+        return np.matmul(src, weight, out=out)
+    for s, a, b, t0, t1 in layout.groups:
+        np.matmul(
+            src[t0:t1].reshape(b - a, s, -1), weight,
+            out=out[t0:t1].reshape(b - a, s, -1),
+        )
+    return out
+
+
+def ragged_attention(
+    data: np.ndarray,
+    wq: np.ndarray, bq: np.ndarray,
+    wk: np.ndarray, bk: np.ndarray,
+    wv: np.ndarray, bv: np.ndarray,
+    layout: RaggedLayout,
+    pool: ScratchPool,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Self-attention of each row over its own tokens, into ``out``.
+
+    ``data`` and ``out`` are ``(tokens, d)`` in the layout's order; no row
+    attends outside itself, so no mask exists.  Float64 runs each group
+    through the bit-exact :func:`_attention_forward`: a row's bits are
+    those of an exact-width unmasked forward of its own tokens.  Float32
+    runs :func:`_ragged_attention_packed` (relaxed-ulp policy).
+    """
+    params = (wq, bq, wk, bk, wv, bv)
+    if data.dtype == np.float32:
+        return _ragged_attention_packed(data, params, layout, pool, out, False)
+    d = data.shape[1]
+    for s, a, b, t0, t1 in layout.groups:
+        _attention_forward(
+            data[t0:t1].reshape(b - a, s, d), params, layout.num_heads, None,
+            pool, False, out[t0:t1].reshape(b - a, s, d),
+        )
+    return out
+
+
+def ragged_cls_attention(
+    data: np.ndarray,
+    wq: np.ndarray, bq: np.ndarray,
+    wk: np.ndarray, bk: np.ndarray,
+    wv: np.ndarray, bv: np.ndarray,
+    layout: RaggedLayout,
+    pool: ScratchPool,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Attention of each row's ``[CLS]`` query over its tokens: ``(rows, d)``.
+
+    Float32 only (relaxed-ulp policy): the last layer of a logits-only
+    forward needs no other query, so Q is projected for the ``[CLS]`` tokens
+    alone, while K and V still cover every token.
+    """
+    if data.dtype != np.float32:
+        raise TypeError("ragged_cls_attention is a float32 kernel")
+    return _ragged_attention_packed(
+        data, (wq, bq, wk, bk, wv, bv), layout, pool, out, True
+    )
+
+
+@_profiled("attention_ragged")
+def _ragged_attention_packed(data, params, layout, pool, out, cls_only):
+    """The float32 ragged attention: flat gemms and one softmax pass.
+
+    The projections run as ``(tokens, d) @ (d, d)`` gemms; one gather
+    repacks them head-major (:meth:`RaggedLayout.tables`), so each group's
+    score and context products are contiguous ``(rows * h, length, ·)``
+    batched gemms writing into one flat score buffer.  The softmax runs
+    once over that buffer: a flat max stabilizer under the same spread
+    guard as :func:`eval_attention_packed` (per-row maxima otherwise), one
+    ``exp``, and ``np.add.reduceat`` row sums that normalize the context,
+    not the scores.  With ``cls_only`` the queries are the ``[CLS]``
+    tokens alone and the result is ``(rows, d)``.
+    """
+    wq, bq, wk, bk, wv, bv = params
+    tokens, d = data.shape
+    h = layout.num_heads
+    dh = d // h
+    dt = data.dtype
+    scale = dt.type(1.0 / float(np.sqrt(dh)))
+    tables = layout.tables()
+    weights = ((wk, bk), (wv, bv)) if cls_only else ((wq, bq), (wk, bk), (wv, bv))
+    n = len(weights)
+    proj = pool.take("rag_proj", (n, tokens, d), dt)
+    for i, (weight, bias) in enumerate(weights):
+        np.matmul(data, weight, out=proj[i])
+        proj[i] += bias
+    packed = pool.take("rag_packed", (n, tokens * h, dh), dt)
+    np.take(
+        proj.reshape(n, tokens * h, dh), tables["head_major"], axis=1,
+        out=packed, mode="clip",
+    )
+    k_all, v_all = packed[n - 2], packed[n - 1]
+    if cls_only:
+        q_all = pool.take("rag_q_cls", (layout.rows, d), dt)
+        np.matmul(data[layout.cls], wq, out=q_all)
+        q_all += bq
+        starts, spans = tables["cls_starts"], tables["cls_spans"]
+        scores = pool.take("rag_scores", (tokens * h,), dt)
+        ctx = out.reshape(layout.rows * h, dh)
+    else:
+        q_all = packed[0]
+        starts, spans = tables["score_starts"], tables["score_spans"]
+        scores = pool.take("rag_scores", (tables["score_size"],), dt)
+        ctx = pool.take("rag_ctx", (tokens * h, dh), dt)
+    q_all *= scale  # fold the score scale into Q
+    for (s, a, b, t0, t1), (lo, hi) in zip(layout.groups, spans):
+        g, queries = b - a, 1 if cls_only else s
+        q = q_all[a:b] if cls_only else q_all[t0 * h : t1 * h]
+        k3 = k_all[t0 * h : t1 * h].reshape(g * h, s, dh)
+        np.matmul(
+            q.reshape(g * h, queries, dh), k3.transpose(0, 2, 1),
+            out=scores[lo:hi].reshape(g * h, queries, s),
+        )
+    # Softmax stabilizer: any shift near each row's maximum works, and the
+    # flat max is far cheaper than per-row maxima while every row stays
+    # within exp's range of it (the spread guard; NaN spreads fail it).
+    gmax, gmin = float(scores.max()), float(scores.min())
+    if gmax - gmin < 60.0:
+        scores -= dt.type(gmax)
+    else:
+        row_max = np.maximum.reduceat(scores, starts)
+        scores -= np.repeat(row_max, np.diff(starts, append=scores.size))
+    np.exp(scores, out=scores)
+    denom = pool.take("rag_denom", (len(starts),), dt)
+    np.add.reduceat(scores, starts, out=denom)
+    for (s, a, b, t0, t1), (lo, hi) in zip(layout.groups, spans):
+        g, queries = b - a, 1 if cls_only else s
+        rows = slice(a * h, b * h) if cls_only else slice(t0 * h, t1 * h)
+        np.matmul(
+            scores[lo:hi].reshape(g * h, queries, s),
+            v_all[t0 * h : t1 * h].reshape(g * h, s, dh),
+            out=ctx[rows].reshape(g * h, queries, dh),
+        )
+    ctx /= denom[:, None]
+    if not cls_only:
+        np.take(
+            ctx, tables["token_major"], axis=0,
+            out=out.reshape(tokens * h, dh), mode="clip",
+        )
+    return out
 
 
 # ----------------------------------------------------------------------

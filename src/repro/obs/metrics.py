@@ -143,7 +143,12 @@ class Histogram:
             self.max = value
 
     def observe_many(self, values) -> None:
-        """Vectorized :meth:`observe` over an array of values."""
+        """Vectorized :meth:`observe` over an array of values.
+
+        Equal to calling :meth:`observe` on each value in order: the same
+        buckets, and the sum accumulated left to right, so even ``sum``
+        keeps its bits.
+        """
         v = np.asarray(values, dtype=float).ravel()
         if v.size == 0:
             return
@@ -158,7 +163,7 @@ class Histogram:
         idx[v >= self.hi] = len(self.counts) - 1
         self.counts += np.bincount(idx, minlength=len(self.counts))
         self.count += int(v.size)
-        self.total += float(v.sum())
+        self.total = float(np.add.accumulate(np.append(self.total, v))[-1])
         self.min = min(self.min, float(v.min()))
         self.max = max(self.max, float(v.max()))
 

@@ -14,11 +14,11 @@ substrate into an *online* engine, the system shape the paper's
   NetFlow-style idle/active timeouts, emitting closed flows whose encoded
   contexts are bit-identical to the offline
   :meth:`~repro.context.builders.FlowContextBuilder.encode_columns`;
-* :mod:`repro.serve.engine` — :class:`InferenceEngine`, length-bucketed
-  micro-batching over a classifier's eval-mode forward, with a
-  :class:`PredictionCache` keyed by the encoded context, bounded-queue
-  backpressure and a stream-clock max-wait deadline that bounds how long
-  any flow waits for its bucket;
+* :mod:`repro.serve.engine` — :class:`InferenceEngine`, continuous
+  batching over a classifier's eval-mode forward: every pending flow runs
+  in one length-sorted ragged forward at each stream-clock tick (or when
+  ``max_pending`` flows wait), with a :class:`PredictionCache` keyed by
+  the encoded context;
 * :mod:`repro.serve.report` — :class:`ServingReport`, the
   throughput/latency/cache scorecard published in ``BENCH_e14.json``,
   backed by the bounded :class:`repro.obs.metrics.MetricsRegistry`; the

@@ -1,37 +1,32 @@
-"""Micro-batched model serving with a prediction cache and backpressure.
+"""Continuously batched model serving with a prediction cache.
 
 One flow at a time, a transformer forward wastes almost all of its time on
-per-call overhead; the :class:`InferenceEngine` therefore *micro-batches*:
-closed flows accumulate in length buckets and are run through one
-eval-mode forward per bucket, trimmed to the bucket's longest real row (the
-packed-batch discipline).  The engine is deterministic in the record
-sequence, and float64 rows are computed independently of their batch, so
-streaming the same trace through any chunking produces bit-identical
-float64 logits (float32 builds stay within the documented ulp budget
-instead).  Class predictions match the offline batched solver path (whose
-fixed-width forward can differ from a trimmed one only in the last ulp of
-the logits).
+per-call overhead; the :class:`InferenceEngine` therefore batches.  Closed
+flows wait in one FIFO pending list, and *everything* pending runs in one
+forward at each stream-clock tick (:meth:`InferenceEngine.advance_clock`,
+which :func:`serve_stream` calls once per chunk), when ``max_pending``
+flows wait, and at :meth:`~InferenceEngine.flush` — the continuous
+batching of LLM servers: each step serves whatever is pending.  The forward
+mixes lengths without padding: ``predict_logits`` scores every row over its
+own valid prefix, in length-sorted ragged chunks (:mod:`repro.core.fastpath`),
+so float64 logits depend only on the row's own tokens.  The engine is
+deterministic in the record sequence and the clock, and float64 rows are
+computed independently of their batch, so streaming the same trace through
+any chunking produces bit-identical float64 logits (float32 builds stay
+within the documented ulp budget instead).  Class predictions match the
+offline batched solver path.
 
-Repeated traffic is cheaper still.  Within a micro-batch, flows with the
-same encoded context are *coalesced*: the forward runs one row per distinct
+Repeated traffic is cheaper still.  Within a run, flows with the same
+encoded context are *coalesced*: the forward runs one row per distinct
 context and every flow gets its own copy of that row's logits.  Across
-batches, a :class:`PredictionCache` keyed by the
-encoded context (:attr:`~repro.serve.assembler.FlowRecord.cache_key` — the
-serving twin of the PR 4 wire-byte decode-cache discipline) returns the
-stored logits for flows the model has already seen, without any forward at
-all.  A bounded pending queue provides backpressure: when more flows are
-waiting than ``max_pending``, the engine drains buckets synchronously
-instead of queueing without limit.
+runs, a :class:`PredictionCache` keyed by the encoded context
+(:attr:`~repro.serve.assembler.FlowRecord.cache_key` — the serving twin of
+the wire-byte decode cache) returns the stored logits for flows the model
+has already seen, without any forward at all.
 
-A bucket that neither fills nor is the fullest would wait for unrelated
-traffic — on an unbounded stream, forever.  The *max-wait deadline* bounds
-that: :meth:`InferenceEngine.advance_clock` moves the engine's stream clock
-(capture time, not wall time, so a run stays deterministic) and runs every
-bucket whose oldest flow has waited ``max_wait`` stream-seconds, oldest
-first — the inference-side twin of the NetFlow active timeout.  Buckets
-hold flows of one exact length, so the deadline changes only *when* a row
-is served, never its float64 bits.  :func:`serve_stream` advances the clock
-once per chunk.
+Every flow is served by the next tick after it arrives: the clock is
+capture time, not wall time, so a run stays deterministic, and no flow
+waits for traffic of its own length.
 """
 
 from __future__ import annotations
@@ -121,52 +116,49 @@ class FlowPrediction:
 
 
 class InferenceEngine:
-    """Length-bucketed micro-batching over a classifier's eval-mode forward.
+    """Work-conserving batched serving over a classifier's eval-mode forward.
 
     Parameters
     ----------
     classifier:
         Any model with a ``predict_logits(token_ids, attention_mask,
-        batch_size) -> np.ndarray`` method —
+        batch_size) -> np.ndarray`` method that scores prefix-masked rows
+        of mixed length —
         :class:`~repro.core.finetuning.SequenceClassifier` (the foundation
         model's fine-tuned head, as served for the NetGLUE packet tasks) is
         the canonical one.
     batch_size:
-        Target micro-batch size; a bucket reaching it is run immediately.
+        Rows per forward chunk: a run's distinct contexts are sorted by
+        length and cut into chunks of this many rows.
     max_pending:
-        Backpressure bound: after every submission the engine drains the
-        fullest buckets until at most this many flows are pending.
+        Flows allowed to wait: the submission that brings the pending list
+        to this size runs it (for callers that never advance the clock).
     cache:
         A :class:`PredictionCache`, or ``None`` to disable caching (the
         benchmark's gated configuration, so the measured speedup is pure
-        micro-batching).
-    max_wait:
-        The deadline, in stream-seconds: :meth:`advance_clock` runs every
-        bucket whose oldest flow has waited this long.  ``math.inf``
-        disables it (buckets then run only when full, under backpressure,
-        or at :meth:`flush`); ``0`` runs every pending flow at each clock
-        advance.
+        batching).
     tracer:
         Optional :class:`repro.obs.trace.TraceRecorder`.  When set, every
-        served flow gets a ``batched`` span (submit until its micro-batch
-        ran: queue wait), an ``inferred`` span (the model forward, shared
-        start/end across the batch) and an ``emitted`` event; cache hits
-        get ``cache_hit`` + ``emitted`` events instead.  Tracing observes
-        only — predictions, logits and cache contents are bit-identical
-        with or without it — and ``None`` (the default) leaves the serving
-        path unchanged.
+        served flow gets a ``batched`` span (submit until its run started:
+        queue wait), an ``inferred`` span (the model forward, shared
+        start/end across the run) and an ``emitted`` event; cache hits get
+        ``cache_hit`` + ``emitted`` events instead.  Tracing observes only —
+        predictions, logits and cache contents are bit-identical with or
+        without it — and ``None`` (the default) leaves the serving path
+        unchanged.
 
-    Flows are bucketed by *exact* context length and each bucket's forward
-    is trimmed to that width, so short flows never pay full-width compute
-    and no row in a batch carries padding: the forward skips attention
-    masking entirely — bit-identical (no position is masked) and measurably
-    faster, since the mask materializes ``(batch, heads, seq, seq)``
-    temporaries.  Flows of one bucket with equal
-    :attr:`~repro.serve.assembler.FlowRecord.cache_key` share one forward
-    row (*coalescing*, counted as ``coalesced`` in :meth:`summary`): the
-    bucket's trigger, the cache puts, the output guard and the trace spans
-    all stay per flow, but a poisoned row reaches every flow on it.  The
-    classifier is served as built; for the float32 packed-gemm path pass
+    A *run* serves every pending flow: it coalesces equal
+    :attr:`~repro.serve.assembler.FlowRecord.cache_key` contexts, stacks
+    one row per distinct context padded to the widest with its prefix
+    mask, makes one ``predict_logits`` call and emits in FIFO order.  Runs
+    happen at each :meth:`advance_clock` (trigger ``clock``), when
+    ``max_pending`` flows wait (``full``) and at :meth:`flush` (``flush``).
+    Coalescing (counted as ``coalesced`` in :meth:`summary`) keeps the
+    cache puts, the output guard and the trace spans per flow, but a
+    poisoned row reaches every flow on it.  The policy never looks at the
+    dtype, so float32 and float64 engines emit the same flows in the same
+    order with the same cache hits.  The classifier is served as built;
+    for the float32 packed-gemm path pass
     ``classifier.serving_build("float32")``.
 
     Cache keys are namespaced by the model build dtype: an engine caches
@@ -183,38 +175,27 @@ class InferenceEngine:
         max_pending: int = 256,
         cache: "PredictionCache | None" = None,
         tracer=None,
-        max_wait: float = 5.0,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if max_pending < batch_size:
-            raise ValueError("max_pending must be at least batch_size")
-        if not max_wait >= 0:  # also rejects NaN
-            raise ValueError(
-                "max_wait must be non-negative (math.inf disables the deadline)"
-            )
+        if max_pending <= 0:
+            raise ValueError("max_pending must be positive")
         self.classifier = classifier
         self.batch_size = batch_size
         self.max_pending = max_pending
-        self.max_wait = float(max_wait)
         self.cache = cache
         # Optional output guard (resilience): called as guard(record, row)
-        # for every non-finite logits row before the batch is emitted;
+        # for every non-finite logits row before the run is emitted;
         # returns "drop"/"degrade" or raises, per policy.
         self.output_guard = None
         self.tracer = tracer
-        self._completed_backlog: list[FlowPrediction] = []
-        # Bucket entries are (record, key, submitted, trace_submit): the
+        # Pending entries are (record, key, submitted, trace_submit): the
         # record's ``cache_key`` (computed once per flow, it keys both the
         # cache and coalescing), the report timestamp and, when tracing,
         # the tracer-clock submit time the ``batched`` (queue-wait) span
-        # starts from.  A bucket's key is its flows' exact length.
-        self._buckets: dict[int, list[tuple[FlowRecord, bytes, float, float]]] = {}
-        # bucket -> the stream clock when its oldest pending entry arrived
-        # (-inf: it arrived before the clock was first advanced).
-        self._born: dict[int, float] = {}
+        # starts from.  FIFO: a run emits in this order.
+        self._pending: list[tuple[FlowRecord, bytes, float, float]] = []
         self._clock = -math.inf
-        self._pending = 0
         # Cache-key namespace: the build dtype is part of every key (see
         # class docstring).  Fixed at construction — a build's dtype is
         # set once by serving_build and never changes afterwards.
@@ -238,7 +219,7 @@ class InferenceEngine:
     @property
     def pending(self) -> int:
         """Flows submitted but not yet run through the model."""
-        return self._pending
+        return len(self._pending)
 
     @property
     def clock(self) -> float:
@@ -255,16 +236,14 @@ class InferenceEngine:
     def submit(self, record: FlowRecord) -> list[FlowPrediction]:
         """Enqueue one closed flow; return any predictions completed now.
 
-        A cache hit completes immediately.  A miss joins its length bucket;
-        buckets reaching ``batch_size`` run at once, and the backpressure
-        bound then drains the fullest buckets until at most ``max_pending``
-        flows wait.  Completions of *other* flows can therefore be returned
-        by a submission — consume the returned list every call.
+        A cache hit completes immediately.  A miss joins the pending list,
+        and the submission that brings it to ``max_pending`` flows runs
+        every pending flow — completions of *other* flows can therefore be
+        returned by a submission, so consume the returned list every call.
         """
         submitted = self.report.mark_submit()
         tracer = self.tracer
         trace_submit = tracer.clock() if tracer is not None else 0.0
-        completed: list[FlowPrediction] = []
         key = record.cache_key
         if self.cache is not None:
             logits = self.cache.get(self._cache_prefix + key)
@@ -275,7 +254,7 @@ class InferenceEngine:
                     cached=True,
                     latency=self.report.mark_submit() - submitted,
                 )
-                self.report.observe(prediction)
+                self.report.observe(prediction, self._clock)
                 if tracer is not None:
                     t = tracer.clock()
                     tracer.annotate(
@@ -286,95 +265,34 @@ class InferenceEngine:
                         cached=True,
                     )
                 return [prediction]
-        bucket = len(record)
-        queue = self._buckets.get(bucket)
-        if queue is None:
-            queue = self._buckets[bucket] = []
-            self._born[bucket] = self._clock
-        queue.append((record, key, submitted, trace_submit))
-        self._pending += 1
-        try:
-            if len(queue) >= self.batch_size:
-                completed.extend(self._run_bucket(bucket, "full"))
-            while self._pending > self.max_pending:
-                fullest = max(self._buckets, key=lambda b: len(self._buckets[b]))
-                completed.extend(self._run_bucket(fullest, "backpressure"))
-        except BaseException:
-            # Earlier buckets in this call already emitted (observed, cached)
-            # but their predictions were never returned; park them so a
-            # caller that recovers can still deliver each exactly once.
-            self._completed_backlog.extend(completed)
-            raise
-        return completed
+        self._pending.append((record, key, submitted, trace_submit))
+        if len(self._pending) >= self.max_pending:
+            return self._run("full")
+        return []
 
     def advance_clock(self, t: float) -> list[FlowPrediction]:
-        """Advance the stream clock to ``t``; run the buckets past deadline.
+        """Advance the stream clock to ``t`` and run every pending flow.
 
-        Every bucket whose oldest flow arrived ``max_wait`` or more
-        stream-seconds before the clock runs now, oldest first; a bucket
-        that arrived before the clock was first advanced counts as arriving
-        at ``t``.  The clock never moves back.  Crash-safe like
-        :meth:`submit`: buckets that ran before a crash are parked for
-        :meth:`drain_completed`, the crashed one stays pending.  Records the
-        age of the oldest flow still pending afterwards
-        (``oldest_pending_s`` in the report).
+        The clock never moves back.  A crashed forward leaves every flow
+        pending (nothing was emitted, cached or observed), so the next call
+        serves them all exactly once.
         """
         if t > self._clock:
             self._clock = t
-        clock, max_wait = self._clock, self.max_wait
-        due = []
-        for bucket, born in self._born.items():
-            if born == -math.inf:
-                self._born[bucket] = born = clock
-            if max_wait < math.inf and clock - born >= max_wait:
-                due.append((born, bucket))
-        completed: list[FlowPrediction] = []
-        try:
-            for _, bucket in sorted(due):
-                completed.extend(self._run_bucket(bucket, "deadline"))
-        except BaseException:
-            self._completed_backlog.extend(completed)
-            raise
-        self.report.observe_oldest_pending(
-            clock - min(self._born.values()) if self._born else 0.0
-        )
-        return completed
+        return self._run("clock")
 
     def flush(self) -> list[FlowPrediction]:
-        """Run every pending bucket (shortest first); return the predictions."""
-        completed: list[FlowPrediction] = []
-        try:
-            for bucket in sorted(self._buckets):
-                completed.extend(self._run_bucket(bucket, "flush"))
-        except BaseException:
-            self._completed_backlog.extend(completed)
-            raise
-        return completed
-
-    def drain_completed(self) -> list[FlowPrediction]:
-        """Predictions completed inside a call that then raised.
-
-        A multi-bucket ``submit``/``advance_clock``/``flush`` may crash after
-        some buckets already ran; those buckets' predictions were observed
-        and cached but never returned to the caller.  They are parked here,
-        and the crashed bucket stays pending, so a direct caller that
-        catches the crash and collects them here before calling again still
-        serves every record exactly once.
-        """
-        backlog = self._completed_backlog
-        self._completed_backlog = []
-        return backlog
+        """Run every pending flow; return the predictions."""
+        return self._run("flush")
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_bucket(self, bucket: int, trigger: str) -> list[FlowPrediction]:
-        queue = self._buckets.pop(bucket, [])
-        born = self._born.pop(bucket, None)
+    def _run(self, trigger: str) -> list[FlowPrediction]:
+        queue = self._pending
         if not queue:
             return []
-        records = [record for record, _, _, _ in queue]
-        # Coalescing: one forward row per distinct context in the bucket.
+        # Coalescing: one forward row per distinct pending context.
         row_of: dict[bytes, int] = {}
         rows: list[int] = []  # flow -> its forward row
         owners: list[int] = []  # forward row -> the flow it was stacked from
@@ -383,43 +301,33 @@ class InferenceEngine:
             if row == len(owners):
                 owners.append(j)
             rows.append(row)
-        # Every flow in the bucket has exactly the bucket's length, and its
-        # mask is a prefix mask (see FlowRecord), so the stacked rows carry
-        # no padding and attention needs no mask at all: passing None is
-        # bit-identical and skips the (batch, heads, seq, seq) mask
-        # temporaries, the forward's largest arrays.
-        ids = np.stack([records[j].token_ids[:bucket] for j in owners])
-        # Batch invariance (a lone row's logits matching the same row inside
-        # any batch) is guaranteed for float64 builds by the classifier's
-        # eval fast path, which runs singleton chunks as a duplicated pair
-        # at the kernel layer; float32 builds hold the ulp budget instead.
+        # Every record's mask is a prefix mask (see FlowRecord): trimmed to
+        # the widest distinct context, the rows stack without losing a
+        # token, and the forward scores each over its own prefix.
+        mask = np.stack([queue[j][0].attention_mask for j in owners])
+        width = int(mask.sum(axis=1).max())
+        ids = np.stack([queue[j][0].token_ids[:width] for j in owners])
+        # A crash anywhere before the emission loop (the forward, the
+        # output guard) leaves the pending list untouched, so a later call
+        # runs these records again: nothing was cached, observed or returned.
         tracer = self.tracer
-        try:
-            t_forward = tracer.clock() if tracer is not None else 0.0
-            logits = self.classifier.predict_logits(ids, None, batch_size=len(ids))
-            t_done = tracer.clock() if tracer is not None else 0.0
-            # Fancy indexing gives every flow its own copy of its row, so a
-            # consumer mutating one prediction's logits never reaches a twin.
-            if len(owners) < len(records):
-                logits = logits[rows]
-            # Poisoned-output scan happens before any row is cached or
-            # emitted, so a fail_fast guard raise leaves the whole batch
-            # pending exactly like a forward crash.
-            actions: dict[int, str] = {}
-            if self.output_guard is not None:
-                finite = np.isfinite(logits).all(axis=1)
-                for j in np.flatnonzero(~finite):
-                    actions[int(j)] = self.output_guard(
-                        records[int(j)], logits[int(j)]
-                    )
-        except BaseException:
-            # Crash before any emission: restore the bucket untouched so a
-            # later call runs these records again — nothing was cached,
-            # observed, or returned.
-            self._buckets[bucket] = queue
-            self._born[bucket] = born
-            raise
-        self._pending -= len(queue)
+        t_forward = tracer.clock() if tracer is not None else 0.0
+        logits = self.classifier.predict_logits(
+            ids, mask[:, :width], batch_size=self.batch_size
+        )
+        t_done = tracer.clock() if tracer is not None else 0.0
+        # Fancy indexing gives every flow its own copy of its row, so a
+        # consumer mutating one prediction's logits never reaches a twin.
+        if len(owners) < len(queue):
+            logits = logits[rows]
+        # The poisoned-output scan runs before any row is cached or emitted,
+        # so a fail_fast guard raise leaves the run pending like a crash.
+        actions: dict[int, str] = {}
+        if self.output_guard is not None:
+            finite = np.isfinite(logits).all(axis=1)
+            for j in np.flatnonzero(~finite):
+                actions[int(j)] = self.output_guard(queue[int(j)][0], logits[int(j)])
+        self._pending = []
         done = self.report.mark_submit()
         predictions = []
         coalesced = 0
@@ -440,23 +348,24 @@ class InferenceEngine:
             # real forward, not a poisoned hit.
             if self.cache is not None and not degraded:
                 self.cache.put(self._cache_prefix + key, row)
-            self.report.observe(prediction)
             coalesced += not degraded and owners[rows[j]] != j
             if tracer is not None:
                 tracer.record_span(
                     record.key, record.generation, "batched",
-                    trace_submit, t_forward, batch=len(records),
+                    trace_submit, t_forward, batch=len(queue),
                 )
                 tracer.record_span(
                     record.key, record.generation, "inferred",
-                    t_forward, t_done, batch=len(records),
+                    t_forward, t_done, batch=len(queue),
                 )
                 tracer.annotate(
                     record.key, record.generation, "emitted", t=t_done,
                     cached=False, degraded=degraded,
                 )
             predictions.append(prediction)
-        self.report.observe_batch(len(records), trigger, coalesced)
+        self.report.observe_run(
+            predictions, len(queue), trigger, coalesced, self._clock
+        )
         return predictions
 
 
@@ -475,17 +384,16 @@ def serve_stream(
 
     The stages run in the calling thread, in one loop: chunks stream from
     the source, the assembler closes flows (by timeout mid-stream, and the
-    remainder at end of stream), and the engine micro-batches the closed
-    flows through the model, in order.  After each chunk's flows are
-    submitted, and before the next read, the loop advances the engine's
-    stream clock to the chunk's time (:func:`~repro.serve.stream.chunk_clock`),
-    which runs the buckets past the engine's max-wait deadline.  The loop
-    uses nothing but ``iter(source)``, ``assembler.push``/``flush``,
-    ``engine.submit``/``flush`` and — when the engine has it —
-    ``engine.advance_clock``, so any object with that interface (a
-    delegating timing wrapper, say) serves unchanged; an engine without
-    ``advance_clock`` runs buckets only when full, under backpressure or at
-    the end of the stream.
+    remainder at end of stream), and the engine batches the closed flows
+    through the model, in order.  After each chunk's flows are submitted,
+    and before the next read, the loop advances the engine's stream clock
+    to the chunk's time (:func:`~repro.serve.stream.chunk_clock`), which
+    serves every flow still pending.  The loop uses nothing but
+    ``iter(source)``, ``assembler.push``/``flush``, ``engine.submit``/``flush``
+    and — when the engine has it — ``engine.advance_clock``, so any object
+    with that interface (a delegating timing wrapper, say) serves
+    unchanged; an engine without ``advance_clock`` runs only when
+    ``max_pending`` flows wait and at the end of the stream.
 
     Resilience (see :mod:`repro.serve.resilience`): ``policy`` selects the
     per-stage error policy (``"fail_fast"`` — the default — ``"quarantine"``

@@ -2,9 +2,13 @@
 
 The :class:`ServingReport` is the measurement surface the ROADMAP's "serves
 heavy traffic" goal is tracked by: every completed prediction is observed
-with its submit-to-completion latency, and :meth:`summary` folds the stream
-into the numbers ``tools/bench_report.py`` publishes in ``BENCH_e14.json``
-(flows/s, packets/s, p50/p99 latency, cache hit rate, batch shapes).
+with its submit-to-completion latency and its last-packet-to-emit lag, and
+:meth:`summary` folds the stream into the numbers ``tools/bench_report.py``
+publishes in ``BENCH_e14.json`` (flows/s, packets/s, p50/p99 latency, cache
+hit rate, batch shapes).  Accounting is per run, never per flow: the flows
+one forward served are recorded with one histogram update and one counter
+update each (:meth:`ServingReport.observe_run`); only cache hits, emitted
+one per submission, are recorded one at a time.
 
 Since the observability layer landed, the report is backed by a
 :class:`repro.obs.metrics.MetricsRegistry` rather than raw Python lists:
@@ -24,7 +28,10 @@ JSON export via ``report.metrics.to_json()``).
 
 from __future__ import annotations
 
+import math
 import time
+
+import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
@@ -33,9 +40,9 @@ __all__ = ["ServingReport"]
 #: Resilience counters every report carries (see :meth:`ServingReport.count`).
 _COUNTERS = ("errors", "retries", "quarantined", "degraded", "restarts")
 
-#: Why a micro-batch ran: its bucket filled, its oldest flow hit the
-#: max-wait deadline, backpressure picked it, or the stream ended.
-_TRIGGERS = ("full", "deadline", "backpressure", "flush")
+#: Why a run served the pending flows: the stream clock advanced,
+#: ``max_pending`` flows waited, or the stream ended.
+_TRIGGERS = ("clock", "full", "flush")
 
 #: Latency histogram layout: 100 ns to 1000 s at 8 bins/octave (~270 buckets).
 _LATENCY_LAYOUT = (1e-7, 1e3)
@@ -60,7 +67,9 @@ class ServingReport:
             name: self.metrics.counter(f"serve.batches.{name}")
             for name in _TRIGGERS
         }
-        self._oldest_pending = self.metrics.gauge("serve.oldest_pending_s")
+        self._emit_lag = self.metrics.histogram(
+            "serve.last_packet_to_emit_s", *_LATENCY_LAYOUT
+        )
         #: Build dtype of the serving model (stamped by the engine at
         #: construction; ``None`` until a report belongs to an engine).
         self.model_dtype: str | None = None
@@ -100,8 +109,7 @@ class ServingReport:
 
     @property
     def batches_by_trigger(self) -> dict[str, int]:
-        """Micro-batches run, by what triggered them: ``full``,
-        ``deadline``, ``backpressure`` or ``flush``."""
+        """Runs, by what triggered them: ``clock``, ``full`` or ``flush``."""
         return {name: int(c.value) for name, c in self._triggers.items()}
 
     @property
@@ -122,27 +130,46 @@ class ServingReport:
             self._first_submit = now
         return now
 
-    def observe(self, prediction) -> None:
-        """Record one completed :class:`~repro.serve.engine.FlowPrediction`."""
+    def observe(self, prediction, clock: float = -math.inf) -> None:
+        """Record one completed :class:`~repro.serve.engine.FlowPrediction`
+        emitted on its own (a cache hit) at engine clock ``clock``."""
         self._latency.observe(prediction.latency)
         self._flows.inc()
         self._packets.inc(prediction.record.packet_count)
         if prediction.cached:
             self._cached.inc()
+        if clock > -math.inf:
+            self._emit_lag.observe(max(clock - prediction.record.end_time, 0.0))
         self._last_completion = time.perf_counter()
 
-    def observe_batch(self, size: int, trigger: str = "full", coalesced: int = 0) -> None:
-        """Record one model forward of ``size`` flows, run because of
-        ``trigger`` (see :attr:`batches_by_trigger`); ``coalesced`` of them
-        were served from another flow's forward row (see :attr:`coalesced`)."""
+    def observe_run(
+        self, predictions, size: int, trigger: str, coalesced: int = 0,
+        clock: float = -math.inf,
+    ) -> None:
+        """Record one model forward over ``size`` pending flows.
+
+        ``predictions`` are the flows it emitted (dropped flows are not
+        among them), ``trigger`` is why it ran (see
+        :attr:`batches_by_trigger`) and ``coalesced`` of the flows were
+        served from another flow's forward row (see :attr:`coalesced`).
+        At engine clock ``clock`` (``-inf``: never advanced, and the lag is
+        not recorded) each flow's last-packet-to-emit lag is ``clock`` minus
+        its ``end_time``, floored at 0: a flow emitted before the clock
+        reaches its last packet counts 0.  One histogram update and one
+        counter update per metric, whatever the run's size.
+        """
         self._batch.observe(size)
         self._triggers[trigger].inc()
         self._coalesced.inc(coalesced)
-
-    def observe_oldest_pending(self, age: float) -> None:
-        """Record the oldest pending flow's age, in stream-seconds, at one
-        advance of the engine's stream clock."""
-        self._oldest_pending.set(age)
+        if not predictions:
+            return
+        self._latency.observe_many([p.latency for p in predictions])
+        self._flows.inc(len(predictions))
+        self._packets.inc(sum(p.record.packet_count for p in predictions))
+        if clock > -math.inf:
+            ends = np.array([p.record.end_time for p in predictions], dtype=float)
+            self._emit_lag.observe_many(np.maximum(clock - ends, 0.0))
+        self._last_completion = time.perf_counter()
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump one resilience counter (``errors``, ``retries``,
@@ -171,8 +198,9 @@ class ServingReport:
         ``coalesced`` counts flows served from another pending flow's
         forward row (see :class:`~repro.serve.engine.InferenceEngine`),
         ``batches_by_trigger`` splits ``batches`` by trigger, and
-        ``oldest_pending_s`` is the largest oldest-pending-flow age recorded
-        at any stream-clock advance (``None`` when the clock never moved).
+        ``last_packet_to_emit_p50_s``/``_p99_s`` are percentiles of the
+        capture-seconds lag from each flow's last packet to its emission,
+        by the engine clock (``None`` when the clock never moved).
         """
         wall = self.wall_time
         flows = self.flows
@@ -181,6 +209,11 @@ class ServingReport:
             if not self._latency.count:
                 return 0.0
             return self._latency.percentile(q) * 1000.0
+
+        def lag(q: float) -> "float | None":
+            if not self._emit_lag.count:
+                return None
+            return self._emit_lag.percentile(q)
 
         return {
             "flows": flows,
@@ -193,10 +226,8 @@ class ServingReport:
             "batches": self.batches,
             "mean_batch": self._batch.mean,
             "batches_by_trigger": self.batches_by_trigger,
-            "oldest_pending_s": (
-                self._oldest_pending.max if self._oldest_pending.samples
-                else None
-            ),
+            "last_packet_to_emit_p50_s": lag(50),
+            "last_packet_to_emit_p99_s": lag(99),
             "coalesced": self.coalesced,
             "cache_hit_rate": cache.hit_rate if cache is not None else None,
             "model_dtype": self.model_dtype,

@@ -284,7 +284,7 @@ class AssemblyGuard:
         (:class:`~repro.serve.faults.SourceFaultError` does), its flows are
         poisoned and its packets accounted, and the stream clock advances to
         its time (:func:`~repro.serve.stream.chunk_clock` — the same clock
-        the engine's deadline ages pending flows by); an opaque failure just
+        whose ticks run the engine's pending flows); an opaque failure just
         counts an error — there is nothing to conserve for data that never
         arrived.
         """

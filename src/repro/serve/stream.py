@@ -25,7 +25,7 @@ default) as fast as the consumer can drain.
 
 Every read also carries the *stream clock*: :func:`chunk_clock` is the
 capture time a read reaches, the one time base the assembler's idle
-eviction and the engine's max-wait deadline both run on.
+eviction and the engine's serving ticks both run on.
 """
 
 from __future__ import annotations

@@ -413,8 +413,10 @@ class TestEvalFastPath:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_scratch_is_one_buffer_per_slot_across_shapes(self, dtype):
-        """Serving many bucket shapes keeps one scratch buffer per slot, and
-        a forward after a larger one matches a cold forward bit for bit."""
+        """Serving many batch shapes keeps one scratch buffer per slot, and
+        a forward after a larger one matches a cold forward bit for bit.
+        Rows carry no padding, so the activation slots hold the largest
+        call's valid tokens, not its padded ``rows * width``."""
         shapes = [(2, 5), (4, 16), (3, 1), (1, 9), (4, 16), (5, 13)]
         rng = np.random.default_rng(3)
         batches = [
@@ -428,7 +430,7 @@ class TestEvalFastPath:
             )
         buffers = warm._fastpath._pool._buffers
         assert len({slot for slot, _ in buffers}) == len(buffers)
-        largest = max(b * s for b, s in shapes)
+        largest = max(int(mask.sum()) for _, mask in batches)
         assert buffers[("res0", np.dtype(dtype).char)].size == largest * 16
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

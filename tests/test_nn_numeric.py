@@ -38,10 +38,11 @@ from repro.nn import (
 )
 from repro.nn import init
 from repro.nn.kernels import (
+    RaggedLayout,
     ScratchPool,
     eval_attention,
     eval_layer_norm,
-    eval_matmul,
+    ragged_matmul,
 )
 from repro.nn.numeric import (
     POLICY_BIT_EXACT_F64,
@@ -219,7 +220,7 @@ class TestFusedKernelSweep:
     The float64 arm is the bit-exact policy restated (budget 0, plus a
     direct ``array_equal``); the float32 arm is the documented relaxed
     budget.  The no-tape cases run the one dtype dispatch of
-    `repro.nn.kernels` (`eval_layer_norm`, `eval_attention`, `eval_matmul`)
+    `repro.nn.kernels` (`eval_layer_norm`, `eval_attention`, `ragged_matmul`)
     that both the fused modules and the serving fast path call: the exact
     replay for float64, the packed kernels (`eval_layer_norm_packed`,
     `eval_attention_packed`) for float32.
@@ -271,7 +272,7 @@ class TestFusedKernelSweep:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_eval_kernels_into_shared_growing_pool(self, dtype):
-        """``eval_layer_norm`` / ``eval_attention`` / ``eval_matmul`` called
+        """``eval_layer_norm`` / ``eval_attention`` / ``ragged_matmul`` called
         directly, writing into ``out=`` buffers of one shared
         :class:`ScratchPool`, against the composed float64 modules.
 
@@ -298,7 +299,8 @@ class TestFusedKernelSweep:
             assert got is out and out.dtype == dtype
             _check(out, ref, "layer_norm", dtype, "eval_layer_norm " + what)
 
-            # Attention, then the output projection through eval_matmul.
+            # Attention, then the output projection through ragged_matmul
+            # (the rows as one length group).
             att = MultiHeadAttention(d, 4, rng=np.random.default_rng(3), fused=False)
             att.eval()
             valid = None
@@ -322,7 +324,12 @@ class TestFusedKernelSweep:
                 "eval_attention weights " + what,
             )
             projected = pool.take("proj", x.shape, dtype)
-            eval_matmul(merged, att.out_proj.weight.data.astype(dtype), projected)
+            ragged_matmul(
+                merged.reshape(batch * seq, d),
+                att.out_proj.weight.data.astype(dtype),
+                projected.reshape(batch * seq, d),
+                RaggedLayout(np.full(batch, seq), num_heads=4),
+            )
             projected += att.out_proj.bias.data.astype(dtype)
             assert projected.dtype == dtype
             _check(projected, ref, "attention", dtype, "eval_attention " + what)

@@ -127,6 +127,30 @@ class TestTracingIsObservationOnly:
             assert coalesced > 0
 
 
+    def test_clock_accounting_identical(self, scenario):
+        # The run triggers and the last-packet-to-emit histogram follow the
+        # capture-time clock, so tracing cannot move a count or a bucket.
+        def serve(tracer):
+            engine = make_engine(scenario, tracer=tracer)
+            list(serve_stream(
+                ColumnsSource(scenario["columns"], chunk_rows=CHUNK_ROWS),
+                make_assembler(scenario, idle_timeout=0.2, tracer=tracer),
+                engine,
+            ))
+            lag = engine.report.metrics.get("serve.last_packet_to_emit_s")
+            summary = engine.summary()
+            return (
+                summary["batches_by_trigger"], summary["coalesced"],
+                summary["last_packet_to_emit_p50_s"],
+                summary["last_packet_to_emit_p99_s"],
+                lag.counts.tolist(), lag.count, lag.total,
+            )
+
+        plain = serve(None)
+        assert plain[0]["clock"] > 0 and plain[5] > 0
+        assert serve(TraceRecorder()) == plain
+
+
 class TestTraceCoversTheServedFlows:
     """The trace is complete and well-formed for every served flow."""
 

@@ -9,14 +9,12 @@ row bit-identically — for any chunk size — and the micro-batched
 solver path's predictions.  Timeout splitting must match
 ``FlowTable(idle_timeout=...)`` (the rule is shared through
 :func:`repro.net.flow_columns.is_idle_split`), and the prediction cache must
-return logits identical to the forward pass a hit replaces.  The engine's
-max-wait deadline must serve a flow of a rare length before the stream
-ends, however much other traffic keeps its own buckets full.
+return logits identical to the forward pass a hit replaces.  The engine
+must serve every pending flow, whatever its length, at the next
+stream-clock tick, in one forward per tick.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -306,10 +304,13 @@ class TestInferenceEngine:
             assert np.array_equal(a.logits, b.logits)
 
     def test_cache_hit_returns_identical_logits(self, capture, encoded, classifier):
+        # Without timeouts every flow closes at flush; a pending bound of 8
+        # runs them 8 at a time, so repeats of an earlier run's contexts
+        # are cache hits rather than coalesced rows.
         columns, _ = capture
         predictions, engine = self._streamed(
             columns, encoded, classifier, chunk_rows=32,
-            batch_size=8, cache=PredictionCache(),
+            batch_size=8, max_pending=8, cache=PredictionCache(),
         )
         fresh = {
             p.record.cache_key: p.logits for p in predictions if not p.cached
@@ -399,7 +400,7 @@ class TestInferenceEngine:
         assert len(records) == 2
         assert records[0].cache_key == records[1].cache_key
 
-    def test_backpressure_bounds_pending(self, capture, encoded, classifier):
+    def test_max_pending_bounds_pending(self, capture, encoded, classifier):
         columns, _ = capture
         tokenizer, vocabulary, *_ = encoded
         assembler = StreamingFlowAssembler(
@@ -483,18 +484,17 @@ class _ScriptedAssembler:
         return []
 
 
-class TestMaxWaitDeadline:
-    """The engine's stream-clock deadline bounds how long any flow waits."""
+class TestClockTicks:
+    """Each stream-clock tick serves every pending flow in one forward."""
 
-    @pytest.mark.parametrize("max_wait", [None, math.inf])
-    def test_rare_length_flow_is_not_starved(self, classifier, max_wait):
-        # One 5-token flow closes at t=3; flows of lengths 10 and 11 keep
-        # filling their buckets and running, so the 5-token bucket never
-        # fills and backpressure never picks it.  The default deadline
-        # serves it within max_wait stream-seconds of its close, before the
-        # stream ends; without a deadline it waits for flush().
+    @pytest.mark.parametrize("ticks", [True, False])
+    def test_rare_length_flow_is_served_at_its_tick(self, classifier, ticks):
+        # One 5-token flow closes at t=3 among flows of lengths 10 and 11.
+        # No flow waits for traffic of its own length: the tick at t=3
+        # serves it.  An engine without a clock (a delegating wrapper that
+        # hides advance_clock) runs only at max_pending and at flush.
         vocab_size = classifier.model.config.vocab_size
-        ticks, now = [], [0.0]
+        ticks_, now = [], [0.0]
         for step in range(60):
             t = 0.5 * step
             records = [
@@ -503,79 +503,179 @@ class TestMaxWaitDeadline:
             ]
             if t == 3.0:
                 records.insert(8, length_record("rare", 5, t, vocab_size))
-            ticks.append(_Tick(t, records))
+            ticks_.append(_Tick(t, records))
 
         def source():
-            for tick in ticks:
+            for tick in ticks_:
                 now[0] = float(tick.timestamps[0])
                 yield tick
 
+        class NoClock:
+            def __init__(self, engine):
+                self.submit, self.flush = engine.submit, engine.flush
+
         assembler = _ScriptedAssembler()
-        engine = InferenceEngine(
-            classifier, batch_size=64,
-            **({} if max_wait is None else {"max_wait": max_wait}),
-        )
+        engine = InferenceEngine(classifier, batch_size=64, max_pending=512)
         served = {}
-        for prediction in serve_stream(source(), assembler, engine):
+        driven = engine if ticks else NoClock(engine)
+        for prediction in serve_stream(source(), assembler, driven):
             served[prediction.record.key] = (now[0], assembler.flushed)
         assert len(served) == 60 * 16 + 1
-        emitted_at, after_flush = served["rare"]
         summary = engine.summary()
-        if max_wait is None:
-            assert not after_flush
-            assert 3.0 <= emitted_at <= 3.0 + engine.max_wait
-            assert summary["batches_by_trigger"]["deadline"] >= 1
-            assert summary["oldest_pending_s"] < engine.max_wait
+        by_trigger = summary["batches_by_trigger"]
+        assert summary["batches"] == sum(by_trigger.values())
+        if ticks:
+            assert served["rare"] == (3.0, False)
+            assert by_trigger == {"clock": 60, "full": 0, "flush": 0}
+            # Every flow is emitted at its own close's tick.
+            assert summary["last_packet_to_emit_p99_s"] == 0.0
         else:
-            assert after_flush
-            assert summary["batches_by_trigger"]["deadline"] == 0
-            assert summary["oldest_pending_s"] > 20.0
-        assert summary["batches"] == sum(summary["batches_by_trigger"].values())
+            # 16 flows per read: the pending bound fills every 32 reads.
+            assert served["rare"] == (15.5, False)
+            assert by_trigger == {"clock": 0, "full": 1, "flush": 1}
+            assert summary["last_packet_to_emit_p50_s"] is None
 
-    def test_deadline_runs_oldest_bucket_first(self, classifier):
-        # A bucket is born at the engine clock its first flow arrives at.
+    def test_each_tick_runs_every_pending_flow_in_order(self, classifier):
         vocab_size = classifier.model.config.vocab_size
-        engine = InferenceEngine(classifier, batch_size=8, max_wait=2.0)
-        engine.submit(length_record("a", 7, 0.0, vocab_size))
-        assert engine.advance_clock(0.0) == []
-        assert engine.advance_clock(1.0) == []
-        engine.submit(length_record("b", 9, 1.0, vocab_size))  # born 1.0
-        assert engine.advance_clock(1.5) == []
-        engine.submit(length_record("c", 6, 1.5, vocab_size))  # born 1.5
-        assert [p.record.key for p in engine.advance_clock(2.5)] == ["a"]
-        assert engine.advance_clock(2.0) == []  # the clock never moves back
-        assert engine.clock == 2.5
-        engine.submit(length_record("d", 7, 2.5, vocab_size))  # born 2.5
-        # Oldest first, not shortest first: bucket 9 before bucket 6.
-        assert [p.record.key for p in engine.advance_clock(4.0)] == ["b", "c"]
-        assert engine.pending == 1
-        assert engine.report.batches_by_trigger["deadline"] == 3
-        assert engine.summary()["oldest_pending_s"] == pytest.approx(1.5)
-
-    def test_zero_max_wait_serves_everything_at_each_advance(self, classifier):
-        vocab_size = classifier.model.config.vocab_size
-        engine = InferenceEngine(classifier, batch_size=8, max_wait=0.0)
-        for i, length in enumerate((4, 5, 5)):
-            engine.submit(length_record(i, length, 0.0, vocab_size))
-        assert len(engine.advance_clock(0.0)) == 3
+        engine = InferenceEngine(classifier, batch_size=2)
+        assert engine.advance_clock(0.0) == []  # nothing pending: no run
+        for key, length in (("a", 7), ("b", 9), ("c", 6)):
+            assert engine.submit(length_record(key, length, 0.5, vocab_size)) == []
+        assert engine.pending == 3
+        assert [p.record.key for p in engine.advance_clock(1.0)] == ["a", "b", "c"]
         assert engine.pending == 0
-        assert engine.summary()["oldest_pending_s"] == 0.0
+        engine.submit(length_record("d", 7, 1.0, vocab_size))
+        assert [p.record.key for p in engine.advance_clock(0.5)] == ["d"]
+        assert engine.clock == 1.0  # the clock never moves back
+        summary = engine.summary()
+        assert summary["batches_by_trigger"] == {"clock": 2, "full": 0, "flush": 0}
+        # Lags of 0.5 (a, b, c) and 0 (d), in capture seconds.
+        assert summary["last_packet_to_emit_p99_s"] == pytest.approx(0.5)
+        lag = engine.report.metrics.get("serve.last_packet_to_emit_s")
+        assert lag.count == 4 and lag.total == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("max_wait", [-1.0, float("nan")])
-    def test_rejects_negative_or_nan_max_wait(self, classifier, max_wait):
-        with pytest.raises(ValueError, match="max_wait"):
-            InferenceEngine(classifier, max_wait=max_wait)
+    @pytest.mark.parametrize("batch_size", [2, 64])
+    def test_one_forward_per_tick_over_every_distinct_context(
+        self, classifier, batch_size
+    ):
+        # Three reads close flows of mixed lengths, repeats included.  Each
+        # tick makes exactly one predict_logits call carrying every distinct
+        # context pending at that tick (padded to the widest, with its
+        # prefix mask), whatever batch_size cuts the forward into.
+        vocab_size = classifier.model.config.vocab_size
+        plan = [
+            [("a", 6, 0), ("b", 9, 0), ("c", 6, 0), ("d", 4, 1)],
+            [("e", 12, 0)],
+            [("f", 9, 0), ("g", 9, 1), ("h", 6, 0), ("i", 3, 0)],
+        ]
+        ticks = [
+            _Tick(float(t), [
+                length_record(key, length, float(t), vocab_size, variant)
+                for key, length, variant in flows
+            ])
+            for t, flows in enumerate(plan)
+        ]
+        stub = CountingClassifier(classifier)
+        engine = InferenceEngine(stub, batch_size=batch_size)
+        served = [
+            p.record.key
+            for p in serve_stream(iter(ticks), _ScriptedAssembler(), engine)
+        ]
+        assert served == [key for flows in plan for key, _, _ in flows]
+        assert [call.shape for call in stub.calls] == [(3, 9), (1, 12), (4, 9)]
+        for call, mask, flows in zip(stub.calls, stub.masks, plan):
+            contexts = {(length, variant) for _, length, variant in flows}
+            assert len({row.tobytes() for row in call}) == len(contexts)
+            assert sorted(mask.sum(axis=1)) == sorted(l for l, _ in contexts)
+        summary = engine.summary()
+        assert summary["batches_by_trigger"] == {"clock": 3, "full": 0, "flush": 0}
+        assert summary["coalesced"] == 1
+
+    @pytest.mark.parametrize("max_pending", [0, -1])
+    def test_rejects_nonpositive_max_pending(self, classifier, max_pending):
+        with pytest.raises(ValueError, match="max_pending"):
+            InferenceEngine(classifier, max_pending=max_pending)
+
+
+class TestRunAccounting:
+    """Forward-served flows are accounted once per run, never per flow,
+    with exactly the values per-flow accounting would record."""
+
+    def _predictions(self, classifier, n=40):
+        from repro.serve import FlowPrediction
+
+        vocab_size = classifier.model.config.vocab_size
+        rng = np.random.default_rng(0)
+        predictions = []
+        for i in range(n):
+            record = length_record(i, 4 + i % 9, float(rng.uniform(0, 9)), vocab_size)
+            record.packet_count = int(rng.integers(1, 20))
+            predictions.append(FlowPrediction(
+                record=record, logits=np.zeros(4), cached=False,
+                latency=float(rng.lognormal(-6, 2)),
+            ))
+        return predictions
+
+    def test_run_records_what_per_flow_observation_records(self, classifier):
+        from repro.serve import ServingReport
+
+        predictions = self._predictions(classifier)
+        per_flow, per_run = ServingReport(), ServingReport()
+        for prediction in predictions:
+            per_flow.observe(prediction, 10.0)
+        per_run.observe_run(predictions, len(predictions), "clock", 0, 10.0)
+        for name in (
+            "serve.latency_s", "serve.last_packet_to_emit_s", "serve.flows",
+            "serve.packets", "serve.cached",
+        ):
+            assert per_run.metrics.get(name).snapshot() == (
+                per_flow.metrics.get(name).snapshot()
+            ), name
+        ours, theirs = per_run.summary(), per_flow.summary()
+        for key in (
+            "flows", "packets", "p50_ms", "p99_ms",
+            "last_packet_to_emit_p50_s", "last_packet_to_emit_p99_s",
+        ):
+            assert ours[key] == theirs[key], key
+
+    def test_forward_served_flows_cost_no_per_flow_observation(
+        self, classifier, monkeypatch
+    ):
+        from repro.obs.metrics import Counter, Histogram
+
+        calls = {"observe": 0, "observe_many": 0, "inc": 0}
+        for cls, name in ((Histogram, "observe"), (Histogram, "observe_many"),
+                          (Counter, "inc")):
+            original = getattr(cls, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        vocab_size = classifier.model.config.vocab_size
+        engine = InferenceEngine(classifier, batch_size=4)
+        for i in range(30):
+            engine.submit(length_record(i, 3 + i % 7, 0.0, vocab_size))
+        engine.advance_clock(1.0)
+        assert engine.summary()["flows"] == 30
+        # One run: the batch size, the latency and the lag histograms; the
+        # trigger, coalesced, flows and packets counters.
+        assert calls == {"observe": 1, "observe_many": 2, "inc": 4}
 
 
 class CountingClassifier:
-    """Delegates ``predict_logits``; keeps the token rows of every call."""
+    """Delegates ``predict_logits``; keeps the token rows and the mask of
+    every call."""
 
     def __init__(self, classifier):
         self.classifier = classifier
         self.calls: list[np.ndarray] = []
+        self.masks: list[np.ndarray] = []
 
     def predict_logits(self, token_ids, attention_mask, batch_size=64):
         self.calls.append(np.array(token_ids))
+        self.masks.append(np.array(attention_mask))
         return self.classifier.predict_logits(
             token_ids, attention_mask, batch_size=batch_size
         )
@@ -594,10 +694,10 @@ def dns_query(t, name, txid, conn):
 
 
 class TestCoalescing:
-    """Flows of one bucket with equal contexts share one forward row."""
+    """Pending flows with equal contexts share one forward row."""
 
-    # (length, variant) per flow: bucket 6 holds contexts 0, 1, 2 three,
-    # two and one time(s); bucket 9 holds one context twice.
+    # (length, variant) per flow: length 6 carries contexts 0, 1, 2 three,
+    # two and one time(s); length 9 carries one context twice.
     PLAN = [(6, 0), (6, 1), (6, 0), (6, 2), (6, 0), (6, 1), (9, 0), (9, 0)]
 
     def _records(self, classifier):
@@ -616,28 +716,27 @@ class TestCoalescing:
 
     def test_one_row_per_distinct_context(self, classifier):
         stub = CountingClassifier(classifier)
-        engine = InferenceEngine(stub, batch_size=64, max_wait=math.inf)
+        engine = InferenceEngine(stub, batch_size=2)
         records = self._records(classifier)
         predictions = self._serve(engine, records)
-        # Every flow gets exactly one uncached prediction ...
-        assert sorted(p.record.key for p in predictions) == [
-            r.key for r in records
-        ]
+        # Every flow gets exactly one uncached prediction, in FIFO order ...
+        assert [p.record.key for p in predictions] == [r.key for r in records]
         assert not any(p.cached for p in predictions)
-        # ... from one forward per bucket over its distinct contexts.
-        assert [len(call) for call in stub.calls] == [3, 1]
-        for call in stub.calls:
-            assert len({row.tobytes() for row in call}) == len(call)
+        # ... from one forward over every distinct context, both lengths
+        # in one call (batch_size only cuts that call into chunks).
+        assert [call.shape for call in stub.calls] == [(4, 9)]
+        assert len({row.tobytes() for row in stub.calls[0]}) == 4
+        assert sorted(stub.masks[0].sum(axis=1)) == [6, 6, 6, 9]
         summary = engine.summary()
         assert summary["flows"] == len(records)
         assert summary["coalesced"] == len(records) - 4
-        assert summary["batches_by_trigger"]["flush"] == 2
+        assert summary["batches_by_trigger"] == {"clock": 0, "full": 0, "flush": 1}
 
-    def test_bucket_fills_by_flows(self, classifier):
-        # batch_size counts flows: four flows of one context fill a bucket
-        # of four, and its forward stacks a single row.
+    def test_max_pending_counts_flows(self, classifier):
+        # max_pending counts flows: four flows of one context fill a
+        # pending list of four, and its forward stacks a single row.
         stub = CountingClassifier(classifier)
-        engine = InferenceEngine(stub, batch_size=4)
+        engine = InferenceEngine(stub, batch_size=2, max_pending=4)
         vocab_size = classifier.model.config.vocab_size
         served = []
         for i in range(4):
@@ -649,9 +748,9 @@ class TestCoalescing:
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_each_flow_is_keyed_and_measured_once(self, classifier, monkeypatch, cached):
-        # The bucket key is the flow's exact length and the flow's cache key
-        # rides in its bucket entry: neither is recomputed per lookup,
-        # coalescing pass or cache put.
+        # The flow's cache key rides in its pending entry: it is not
+        # recomputed per lookup, coalescing pass or cache put.  No flow is
+        # asked its length: the stacked masks give the forward's width.
         records = self._records(classifier)
         calls = {"len": 0, "cache_key": 0}
         length, cache_key = FlowRecord.__len__, FlowRecord.cache_key.fget
@@ -667,7 +766,7 @@ class TestCoalescing:
         monkeypatch.setattr(FlowRecord, "__len__", counting_len)
         monkeypatch.setattr(FlowRecord, "cache_key", property(counting_key))
         engine = InferenceEngine(
-            classifier, batch_size=4, max_wait=math.inf,
+            classifier, batch_size=4, max_pending=4,
             cache=PredictionCache() if cached else None,
         )
         # A second pass over a warm cache serves every flow as a hit.
@@ -678,8 +777,8 @@ class TestCoalescing:
             hits += sum(p.cached for p in predictions)
         served = len(records) * (1 + cached)
         assert hits >= (len(records) if cached else 0)
-        # One cache key per flow; one length per flow that joined a bucket.
-        assert calls == {"len": served - hits, "cache_key": served}
+        # One cache key per flow; no length.
+        assert calls == {"len": 0, "cache_key": served}
 
     def test_float64_logits_equal_each_flow_served_alone(self, classifier):
         predictions = self._serve(
@@ -709,7 +808,8 @@ class TestCoalescing:
         from repro.serve import DeadLetterQueue, FaultPlan, FaultSpec
 
         # Five flows share the first flow's context; three others differ in
-        # one name label of the same length, so all eight share one bucket.
+        # one name label.  Every flow closes at flush, so one run serves all
+        # eight.
         names = ["printer.local"] * 3 + ["scanner.local", "printer.local"]
         names += ["storage.local", "printer.local", "scanner.local"]
         packets = [dns_query(0.1 * i, name, 0x1000 + i, i) for i, name in enumerate(names)]
@@ -768,26 +868,23 @@ class CrashingClassifier(CountingClassifier):
         return super().predict_logits(token_ids, attention_mask, batch_size)
 
 
-class TestCrashBacklog:
-    """A multi-bucket call that crashes mid-way parks the buckets that
-    already ran for :meth:`InferenceEngine.drain_completed` and leaves the
-    crashed bucket pending: every record is still served exactly once."""
+class TestCrashedRun:
+    """A forward that crashes inside a run leaves every pending flow
+    pending, with nothing emitted, cached or observed: the next call
+    serves every record exactly once."""
 
-    # Three buckets, run shortest (flush) or oldest-then-shortest (deadline)
-    # first: lengths 4, 6 and 9.
     LENGTHS = {"a0": 4, "a1": 4, "b0": 6, "b1": 6, "c0": 9}
 
     @pytest.mark.parametrize("call", ["flush", "advance_clock"])
-    def test_second_forward_crash(self, classifier, call):
+    def test_crash_then_retry(self, classifier, call):
         vocab_size = classifier.model.config.vocab_size
         records = [
             length_record(key, length, 0.0, vocab_size, variant=i)
             for i, (key, length) in enumerate(self.LENGTHS.items())
         ]
-        engine = InferenceEngine(
-            CrashingClassifier(classifier, crash_at=2), batch_size=8,
-            max_wait=0.0 if call == "advance_clock" else math.inf,
-        )
+        cache = PredictionCache()
+        stub = CrashingClassifier(classifier, crash_at=1)
+        engine = InferenceEngine(stub, batch_size=2, cache=cache)
         for record in records:
             assert engine.submit(record) == []
 
@@ -798,24 +895,21 @@ class TestCrashBacklog:
 
         with pytest.raises(RuntimeError, match="injected forward crash"):
             run()
-        first = engine.drain_completed()
-        assert sorted(p.record.key for p in first) == ["a0", "a1"]
-        assert engine.drain_completed() == []  # handed out once
-        assert engine.pending == 3  # the crashed bucket and the one after it
-        rest = run()
-        assert sorted(p.record.key for p in rest) == ["b0", "b1", "c0"]
-        assert engine.pending == 0 and engine.drain_completed() == []
-
-        served = first + rest
-        assert sorted(p.record.key for p in served) == sorted(self.LENGTHS)
+        assert engine.pending == len(records)
+        assert len(cache) == 0 and engine.summary()["flows"] == 0
+        served = run()
+        assert [p.record.key for p in served] == list(self.LENGTHS)
+        assert engine.pending == 0
         assert engine.summary()["flows"] == len(records)
-        # The retried buckets serve the logits an uncrashed engine serves.
-        clean = InferenceEngine(classifier, batch_size=8, max_wait=math.inf)
+        assert engine.summary()["batches"] == 1
+        # The retried run serves the logits an uncrashed engine serves.
+        clean = InferenceEngine(classifier, batch_size=2)
         for record in records:
             clean.submit(record)
         expected = {p.record.key: p.logits for p in clean.flush()}
         for prediction in served:
             assert np.array_equal(prediction.logits, expected[prediction.record.key])
+
 
 class TestSources:
     def test_chunk_columns_covers_all_rows(self, capture):

@@ -402,16 +402,18 @@ class _AlwaysCrash:
 class TestWorkerSupervision:
     @pytest.mark.parametrize("policy", ["fail_fast", "quarantine"])
     @pytest.mark.parametrize("build, crash", [
-        ("float64", 0), ("float32", 0), ("float32", 1), ("float32", 3),
+        ("float64", 0), ("float32", 0), ("float32", 1), ("float32", 2),
     ])
     def test_restart_recovery_is_bit_identical(self, scenario, policy, build,
                                                crash):
         # A crash with restart budget left must lose nothing: the retried
         # forward serves the exact fault-free multiset, logits to the last
         # bit.  The float64 run crashes at ordinal 0 so the fault fires for
-        # every scenario (some fit in one length bucket and run a single
-        # forward).  The float32 runs hold no batch-invariance guarantee, so
-        # they are bit-identical only because the retry runs the same batch.
+        # every scenario (without timeouts every flow closes at flush, in a
+        # single forward).  The float32 runs close flows on idle and make at
+        # least three forwards in every scenario.  They hold no
+        # batch-invariance guarantee, so they are bit-identical only because
+        # the retry runs the same batch.
         plan = FaultPlan((FaultSpec("forward", crash, "raise"),))
         dlq = DeadLetterQueue()
         if build == "float64":
@@ -453,17 +455,16 @@ class TestWorkerSupervision:
         assert len(dlq) == 0
         assert engine.report.summary()["resilience"]["restarts"] >= 1
 
-    def test_deadline_crash_recovery_is_bit_identical(self, scenario):
-        # With max_wait=0 every bucket runs at its chunk's clock advance, so
-        # the first forward crashes inside advance_clock: the retry runs the
-        # same bucket in the same call, and the run still serves the
-        # fault-free multiset to the last bit.
+    def test_tick_crash_recovery_is_bit_identical(self, scenario):
+        # Idle eviction closes flows mid-stream and every chunk's clock tick
+        # runs them, so the first forward crashes inside advance_clock: the
+        # retry runs the same rows in the same call, and the run still
+        # serves the fault-free multiset to the last bit.
         plan = FaultPlan((FaultSpec("forward", 0, "raise"),))
         dlq = DeadLetterQueue()
         predictions, engine = run_resilient(
-            scenario, idle_timeout=0.2, engine=make_engine(scenario, max_wait=0.0),
-            policy="quarantine", fault_plan=plan, dead_letters=dlq,
-            max_restarts=2, restart_backoff=0.0,
+            scenario, idle_timeout=0.2, policy="quarantine", fault_plan=plan,
+            dead_letters=dlq, max_restarts=2, restart_backoff=0.0,
         )
         reference = sorted(
             prediction_key(p)
@@ -474,14 +475,15 @@ class TestWorkerSupervision:
         assert len(dlq) == 0
         summary = engine.summary()
         assert summary["resilience"]["restarts"] == 1
-        assert summary["batches_by_trigger"]["deadline"] >= 1
+        assert summary["batches_by_trigger"]["clock"] >= 1
 
-    @pytest.mark.parametrize("max_wait", [0.5, 1.0])
+    @pytest.mark.parametrize("max_pending", [4, 256])
     @pytest.mark.parametrize("crash", [0, 1, 2])
-    def test_crash_keeps_every_flow_on_its_deadline(self, scenario, max_wait,
-                                                    crash):
+    def test_crash_keeps_every_flow_on_its_tick(self, scenario, max_pending,
+                                                crash):
         # A recovered crash must not delay anyone: every flow is yielded
-        # while the same source chunk is served as in the fault-free run.
+        # while the same source chunk is served as in the fault-free run,
+        # whether ticks or the pending bound run the forwards.
         def chunk_served(**options):
             reads = []
 
@@ -492,7 +494,7 @@ class TestWorkerSupervision:
 
             stream = serve_stream(
                 source(), make_assembler(scenario, idle_timeout=0.2),
-                make_engine(scenario, max_wait=max_wait), **options,
+                make_engine(scenario, max_pending=max_pending), **options,
             )
             return {
                 (str(p.record.key), p.record.generation): len(reads)
@@ -742,7 +744,7 @@ class TestEngineCrashHygiene:
         # hit a logits entry the crashed batch half-wrote.
         assert len(cache) == 0
         hits_before = cache.hits
-        # The bucket survived the crash: a retry on the same engine serves
+        # The pending flows survived the crash: a retry on the same engine serves
         # every record, bit-identical to a clean engine.
         retried = engine.flush()
         clean = make_engine(scenario, batch_size=64)
@@ -769,7 +771,7 @@ class TestEngineCrashHygiene:
             try:
                 first.extend(engine.submit(record))
             except RuntimeError:
-                first.extend(engine.flush())  # retry the restored bucket
+                first.extend(engine.flush())  # retry the pending flows
         try:
             first.extend(engine.flush())
         except RuntimeError:

@@ -13,10 +13,11 @@ sizes × idle timeouts, plus seeded out-of-order/burst arrival cases.  The
 assembler is also checked on its own: per-row flow keys, open-flow
 accounting and active-timeout closure must not depend on the chunking.
 
-The engine's max-wait deadline is swept as a property: over random chunk
-splits, deadlines and micro-batch sizes, it may change only *when* a flow
-is served — float64 rows and logits stay bit-identical, float32 logits stay
-inside the ``logits`` ulp budget with the same argmax.
+The engine's schedule is swept as a property: over random chunk splits
+(each read is a clock tick), pending bounds and forward chunk sizes, it may
+change only *when* a flow is served — float64 rows and logits stay
+bit-identical, float32 logits stay inside the ``logits`` ulp budget with
+the same argmax.
 
 The interface half pins what the driver needs: with resilience off,
 ``serve_stream`` touches only ``push``/``flush`` on the assembler and
@@ -26,8 +27,6 @@ guard back however the run ends.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -239,8 +238,8 @@ class TestDifferentialScenarioSweep:
     def test_micro_batching_is_bit_identical(
         self, scenario, chunk_rows, batch_size, idle_timeout
     ):
-        # The engine's micro-batch size decides which records share one
-        # forward; on the f64 build that must not move a served bit —
+        # The engine's batch size decides which rows share a forward
+        # chunk; on the f64 build that must not move a served bit —
         # records, close reasons and logits all equal the batch-8 run on
         # the same chunking.
         columns = scenario["columns"]
@@ -284,8 +283,8 @@ class TestDifferentialScenarioSweep:
 
 def exact_length_logits(classifier, records):
     """The offline reference forward: each row trimmed to its own length,
-    rows of one length in one batch, no mask — what the engine computes,
-    with none of its scheduling."""
+    rows of one length in one batch, no mask — what the engine's ragged
+    forward computes per row, with none of its scheduling."""
     by_length: dict[int, list] = {}
     for record in records:
         by_length.setdefault(len(record), []).append(record)
@@ -313,22 +312,23 @@ def random_chunks(columns, cuts):
     return [columns[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-class TestMaxWaitDeadline:
-    """The deadline moves only *when* a flow is served, never what."""
+class TestSchedule:
+    """The schedule moves only *when* a flow is served, never what."""
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
         data=st.data(),
-        max_wait=st.sampled_from([0.0, 5.0, math.inf]),
+        max_pending=st.sampled_from([1, 3, 256]),
         batch_size=st.sampled_from([1, 4, 32]),
     )
-    def test_deadline_keeps_rows_and_logits(
-        self, scenario, data, max_wait, batch_size
+    def test_schedule_keeps_rows_and_logits(
+        self, scenario, data, max_pending, batch_size
     ):
-        # An idle timeout closes flows mid-stream, so the deadline has
-        # pending buckets to run at every chunk's clock advance.  Rows are
-        # checked against the whole-capture run, logits against the
-        # exact-length offline forward of each row.
+        # An idle timeout closes flows mid-stream, so every chunk's clock
+        # tick has pending flows to run, and a small pending bound runs
+        # them between ticks too.  Rows are checked against the
+        # whole-capture run, logits against the exact-length offline
+        # forward of each row.
         columns = scenario["columns"]
         cuts = data.draw(st.lists(
             st.integers(1, max(1, len(columns) - 1)), max_size=40,
@@ -339,8 +339,7 @@ class TestMaxWaitDeadline:
         served = {}
         for build in (classifier, classifier.serving_build("float32")):
             engine = make_engine(
-                scenario, build, batch_size=batch_size,
-                max_pending=max(256, batch_size), max_wait=max_wait,
+                scenario, build, batch_size=batch_size, max_pending=max_pending,
             )
             served[build.model_dtype] = run_serve(
                 scenario, chunks, idle_timeout=0.2, engine=engine,
