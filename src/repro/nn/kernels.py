@@ -44,7 +44,8 @@ relaxed-ulp policy float32 reassociates instead: the packed kernels
 ``(b*s, d) @ (d, 3d)`` gemm for all three QKV projections, head-packed
 contiguous ``(b*h, s, ·)`` 3D gemms for scores and context, and
 gemv-against-ones for the softmax/layernorm reductions, and the ragged
-forward's projections run as one flat 2D gemm over every token.
+forward's projections run as flat 2D gemms over every token, in row
+blocks that keep a small model's gemms on the calling thread.
 """
 
 from __future__ import annotations
@@ -683,6 +684,38 @@ def eval_attention_packed(
 # Ragged eval kernels (the serving forward over rows of mixed length)
 # ----------------------------------------------------------------------
 
+#: Multiply-adds per float32 gemm block in the ragged forward (see
+#: :func:`_blocked_matmul`): under the size at which OpenBLAS 0.3.31
+#: splits a gemm across threads, measured between 2^19 and 2^20.
+_BLOCK_MACS = 1 << 19
+#: Fewest rows worth a block: a weight too large for this many rows per
+#: block runs one flat gemm (its gemms are threaded at every call size).
+_BLOCK_MIN_ROWS = 64
+
+
+def _blocked_matmul(src: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``src @ weight -> out`` for 2-D float32, in blocks of whole rows.
+
+    A small model's gemms are single-threaded at tick sizes, and a flat
+    gemm over a large chunk (the end-of-stream flush) is the first to
+    cross the BLAS threading threshold.  That first threaded gemm can
+    wake the BLAS worker onto the caller's core, and while the two share
+    it every gemm costs a scheduler slice (7 ms instead of 0.05 ms:
+    240 ms over the E14 flush forward, against 15 ms).  Blocks of at most
+    :data:`_BLOCK_MACS` multiply-adds keep every call the size of a tick's,
+    so a burst costs what its rows cost.  Rows are independent, so the
+    blocks compute the flat gemm's rows, up to rounding (relaxed-ulp
+    policy).
+    """
+    k, n = weight.shape
+    step = _BLOCK_MACS // max(k * n, 1)
+    if step < _BLOCK_MIN_ROWS or step >= len(src):
+        return np.matmul(src, weight, out=out)
+    for start in range(0, len(src), step):
+        np.matmul(src[start : start + step], weight, out=out[start : start + step])
+    return out
+
+
 class RaggedLayout:
     """The flat token layout of one chunk of rows of mixed length.
 
@@ -771,14 +804,15 @@ def ragged_matmul(
 ) -> np.ndarray:
     """``src @ weight -> out`` over a ``(tokens, ·)`` ragged activation.
 
-    Float32 runs one flat 2-D gemm (rows are independent, so any
-    ``(rows, ·)`` activation works, such as the ``[CLS]`` rows alone).
+    Float32 runs flat 2-D gemms in row blocks (:func:`_blocked_matmul`;
+    rows are independent, so any ``(rows, ·)`` activation works, such as
+    the ``[CLS]`` rows alone).
     Float64 runs each group as the 3-D per-item product the composed path
     runs on those rows at their exact width, so every row keeps its
     exact-width bits.
     """
     if src.dtype == np.float32:
-        return np.matmul(src, weight, out=out)
+        return _blocked_matmul(src, weight, out)
     for s, a, b, t0, t1 in layout.groups:
         np.matmul(
             src[t0:t1].reshape(b - a, s, -1), weight,
@@ -842,7 +876,8 @@ def ragged_cls_attention(
 def _ragged_attention_packed(data, params, layout, pool, out, cls_only):
     """The float32 ragged attention: flat gemms and one softmax pass.
 
-    The projections run as ``(tokens, d) @ (d, d)`` gemms; one gather
+    The projections run as ``(tokens, d) @ (d, d)`` gemms (in row blocks,
+    :func:`_blocked_matmul`); one gather
     repacks them head-major (:meth:`RaggedLayout.tables`), so each group's
     score and context products are contiguous ``(rows * h, length, ·)``
     batched gemms writing into one flat score buffer.  The softmax runs
@@ -863,7 +898,7 @@ def _ragged_attention_packed(data, params, layout, pool, out, cls_only):
     n = len(weights)
     proj = pool.take("rag_proj", (n, tokens, d), dt)
     for i, (weight, bias) in enumerate(weights):
-        np.matmul(data, weight, out=proj[i])
+        _blocked_matmul(data, weight, proj[i])
         proj[i] += bias
     packed = pool.take("rag_packed", (n, tokens * h, dh), dt)
     np.take(

@@ -24,6 +24,7 @@ from repro.core.finetuning import FinetuneConfig, SequenceClassifier
 from repro.core.model import NetFoundationModel
 from repro.nn import no_grad
 from repro.nn.data import pack_batches
+from repro.nn import kernels
 from repro.nn.kernels import RaggedLayout
 from repro.nn.numeric import assert_within_ulp, ulp_budget
 from repro.serve import StreamingFlowAssembler, chunk_columns
@@ -167,6 +168,54 @@ class TestRaggedForward:
         lengths = np.array([5, 2, 5, 1, 2, 5])
         chunks = length_chunks(lengths, 4)
         assert [c.tolist() for c in chunks] == [[3, 1, 4, 0], [2, 5]]
+
+
+class TestBlockedGemm:
+    """Float32 flat gemms run in row blocks of bounded work, so a small
+    model's gemms stay under the BLAS threading threshold at every call
+    size (a chunk-wide gemm would cross it only in a large burst)."""
+
+    def test_small_model_gemms_are_bounded_blocks(self, monkeypatch):
+        model = NetFoundationModel(NetFMConfig(
+            vocab_size=37, d_model=32, num_heads=4, num_layers=2, d_ff=64,
+            max_len=MAX_LEN, dropout=0.0, seed=5,
+        ))
+        clf = SequenceClassifier(model, 4, FinetuneConfig(dropout=0.0))
+        ids, mask, lengths = mixed_batch(seed=7, rows=64)
+        assert lengths.sum() * 32 * 64 > kernels._BLOCK_MACS  # one flat gemm would not be
+        expected = exact_width(clf, ids, lengths)
+        served = clf.serving_build("float32")
+        work = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if np.ndim(a) == 2 and np.ndim(b) == 2:
+                work.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = served.predict_logits(ids, mask, batch_size=64)
+        monkeypatch.undo()
+        assert work and max(work) <= kernels._BLOCK_MACS
+        assert_within_ulp(got, expected, ulp_budget("logits"), "blocked f32 logits")
+        assert np.array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.parametrize("k, n, flat", [(32, 64, False), (256, 512, True)])
+    def test_blocks_match_one_gemm(self, monkeypatch, k, n, flat):
+        rng = np.random.default_rng(k)
+        src = rng.standard_normal((700, k)).astype(np.float32)
+        weight = rng.standard_normal((k, n)).astype(np.float32)
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, *rest, **kw: calls.append(len(a)) or matmul(a, *rest, **kw)
+        )
+        out = kernels._blocked_matmul(src, weight, np.empty((700, n), np.float32))
+        monkeypatch.undo()
+        # A weight too large for _BLOCK_MIN_ROWS rows per block runs one gemm.
+        assert (calls == [700]) == flat
+        assert sum(calls) == 700
+        np.testing.assert_allclose(out, src @ weight, rtol=1e-5, atol=1e-4)
 
 
 class TestPrefixMasks:
