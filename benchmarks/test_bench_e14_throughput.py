@@ -479,9 +479,9 @@ def _serving_times() -> dict[str, float]:
     }
 
     # Kernel profile of one engine pass (profiler global on, then off).
-    # The float32 serving build is the profiled one: its eval_* kernels
-    # dispatch to the profiled packed kernels (eval_layer_norm_packed /
-    # eval_attention_packed), while float64 runs the un-profiled exact replay.
+    # The float32 serving build is the profiled one: its forward runs the
+    # profiled float32 kernels (attention_ragged, layer_norm_packed), while
+    # float64 runs the un-profiled exact replay.
     profiler = enable_kernel_profiling()
     try:
         batched32()

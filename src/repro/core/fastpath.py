@@ -14,9 +14,9 @@ per slot, sized by the largest chunk seen).  Those kernels pick the
 numeric policy by dtype: float64 replays the composed op sequence, so
 logits are bit-identical to the module path (asserted by
 `tests/test_nn_fused_equivalence.py`); float32 serving builds run the
-packed kernels under the relaxed documented-ulp policy of
-:mod:`repro.nn.numeric`.  The only op replayed here is gelu (the same
-multiply chain as ``Tensor.gelu``).
+ragged float32 kernels and the packed layer norm under the relaxed
+documented-ulp policy of :mod:`repro.nn.numeric`.  The only op replayed
+here is gelu (the same multiply chain as ``Tensor.gelu``).
 
 Five serving contracts live here rather than in the engine or the kernels:
 
@@ -98,6 +98,8 @@ def prefix_lengths(attention_mask, shape: tuple[int, int]) -> np.ndarray:
 
 def length_chunks(lengths: np.ndarray, batch_size: int) -> list[np.ndarray]:
     """Row indices sorted by length (stably), cut into ``batch_size`` chunks."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     order = np.argsort(lengths, kind="stable")
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 

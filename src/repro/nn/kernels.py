@@ -30,22 +30,22 @@ Dtype discipline: every kernel computes in the dtype of its input (scalars
 enter as Python floats, which NumPy treats as weak — no silent float64
 upcast), so the same code path serves float64 and float32 models.
 
-The no-tape forward kernels (:func:`eval_layer_norm`,
-:func:`eval_attention`, and the ragged serving kernels
-:func:`ragged_matmul`, :func:`ragged_attention`) are the one place the
-numeric policy (:mod:`repro.nn.numeric`) picks a kernel by dtype; the
-fused modules without a tape and the serving fast path
-(:mod:`repro.core.fastpath`) call them.  Float64 runs the bit-exact replay.  Bit-identical replay pins
-the accumulation order, which also pins the BLAS call shapes — batched
-attention dispatches ``batch * heads`` tiny gemms and last-axis ufunc
-reductions run far slower than an equivalent gemv — so under the
-relaxed-ulp policy float32 reassociates instead: the packed kernels
-(:func:`eval_attention_packed`, :func:`eval_layer_norm_packed`) run one
-``(b*s, d) @ (d, 3d)`` gemm for all three QKV projections, head-packed
-contiguous ``(b*h, s, ·)`` 3D gemms for scores and context, and
-gemv-against-ones for the softmax/layernorm reductions, and the ragged
-forward's projections run as flat 2D gemms over every token, in row
-blocks that keep a small model's gemms on the calling thread.
+Without a tape, fused attention runs the same exact forward body with
+every intermediate pooled, so module attention is bit-identical to the
+composed path in float32 too.  The numeric policy
+(:mod:`repro.nn.numeric`) picks a kernel by dtype in one place: the no-tape
+layer norm (:func:`eval_layer_norm`) and the ragged serving kernels
+(:func:`ragged_matmul`, :func:`ragged_attention`) that the serving fast
+path (:mod:`repro.core.fastpath`) calls.  Float64 runs the bit-exact
+replay.  Bit-identical replay pins the accumulation order, which also
+pins the BLAS call shapes — batched attention dispatches ``batch * heads``
+tiny gemms and last-axis ufunc reductions run far slower than an
+equivalent gemv — so under the relaxed-ulp policy float32 reassociates
+instead: :func:`eval_layer_norm_packed` reduces by gemv-against-ones, and
+the ragged forward runs its projections as flat 2D gemms over every
+token, in row blocks that keep a small model's gemms on the calling
+thread, and its attention as head-packed score and context gemms with
+one softmax pass over all of them.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ __all__ = [
     "fused_cross_entropy",
     "fused_masked_cross_entropy",
     "eval_layer_norm",
-    "eval_attention",
     "eval_layer_norm_packed",
-    "eval_attention_packed",
     "RaggedLayout",
     "ragged_matmul",
     "ragged_attention",
@@ -102,7 +100,7 @@ class KernelProfiler:
     * ``kernel.<name>.calls`` / ``kernel.<name>.wall_s`` — one counter pair
       per fused or packed kernel entry point; backward passes profile
       separately as ``<name>.backward``.  Nested kernels (the float32 eval
-      dispatch runs ``eval_attention_packed`` inside ``fused_attention``)
+      dispatch runs ``eval_layer_norm_packed`` inside ``fused_layer_norm``)
       each record their own wall time.
     * ``kernel.pool.hits`` / ``misses`` / ``bytes_served`` /
       ``bytes_allocated`` — :class:`ScratchPool` behavior; a warmed-up
@@ -475,16 +473,16 @@ def fused_attention(
 
     Returns the merged ``(batch, seq, d_model)`` context (before the output
     projection, which stays a composed ``Linear``) and the attention
-    weights array for recording.  The taping forward is
-    :func:`_attention_forward`; without a tape this is
-    :func:`eval_attention`.
+    weights array for recording.  Taped or not, and in every dtype, the
+    forward is the exact replay :func:`_attention_forward` (its
+    intermediates pooled without a tape), so the outputs are bit-identical
+    to the composed path's.  The relaxed-ulp float32 attention is the
+    ragged serving kernel's alone.
     """
     parents = (x, wq, bq, wk, bk, wv, bv)
     params = tuple(t.data for t in parents[1:])
-    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
-        merged, weights = eval_attention(x.data, *params, num_heads, mask, pool)
-        return Tensor._make(merged, False), weights
-    merged, weights, saved = _attention_forward(x.data, params, num_heads, mask, pool, True)
+    taping = is_grad_enabled() and any(t.requires_grad for t in parents)
+    merged, weights, saved = _attention_forward(x.data, params, num_heads, mask, pool, taping)
     return Tensor._result(merged, parents, _vjp_attention, saved), weights
 
 
@@ -512,43 +510,9 @@ def eval_layer_norm(
     return out
 
 
-def eval_attention(
-    data: np.ndarray,
-    wq: np.ndarray, bq: np.ndarray,
-    wk: np.ndarray, bk: np.ndarray,
-    wv: np.ndarray, bv: np.ndarray,
-    num_heads: int,
-    mask: np.ndarray | None,
-    pool: ScratchPool,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """No-tape QKV + SDPA: ``(merged context, attention weights)``.
-
-    Float32 runs :func:`eval_attention_packed` (relaxed-ulp policy);
-    float64 runs the bit-exact :func:`_attention_forward`.  The weights are
-    a pooled view, valid until the next call on ``pool``; the module
-    forward (:func:`fused_attention`) records them.  The logits-only
-    serving forward runs the ragged kernels below instead.
-    """
-    if data.dtype == np.float32:
-        return eval_attention_packed(
-            data, wq, bq, wk, bk, wv, bv, num_heads, mask, pool, out=out
-        )
-    params = (wq, bq, wk, bk, wv, bv)
-    merged, weights, _ = _attention_forward(data, params, num_heads, mask, pool, False, out)
-    return merged, weights
-
-
 # ----------------------------------------------------------------------
-# Packed eval kernels (the relaxed-ulp float32 serving path)
+# Packed eval layer norm (the relaxed-ulp float32 path)
 # ----------------------------------------------------------------------
-
-def _ones(pool: ScratchPool, n: int, dtype) -> np.ndarray:
-    """A pooled all-ones vector (the gemv reduction operand)."""
-    ones = pool.take("ones", (n,), dtype)
-    ones.fill(1.0)
-    return ones
-
 
 @_profiled("layer_norm_packed")
 def eval_layer_norm_packed(
@@ -568,7 +532,8 @@ def eval_layer_norm_packed(
     inv_d = 1.0 / max(d, 1)
     dt = data.dtype
     flat = data.reshape(rows, d)
-    ones = _ones(pool, d, dt)
+    ones = pool.take("ones", (d,), dt)  # the gemv reduction operand
+    ones.fill(1.0)
     stats = pool.take("lnp_stats", (2, rows), dt)
     mean, var = stats[0], stats[1]
     np.matmul(flat, ones, out=mean)
@@ -588,96 +553,6 @@ def eval_layer_norm_packed(
     np.multiply(centered, gamma, out=flat_out)
     flat_out += beta
     return out
-
-
-@_profiled("attention_packed")
-def eval_attention_packed(
-    data: np.ndarray,
-    wq: np.ndarray, bq: np.ndarray,
-    wk: np.ndarray, bk: np.ndarray,
-    wv: np.ndarray, bv: np.ndarray,
-    num_heads: int,
-    mask: np.ndarray | None,
-    pool: ScratchPool,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """QKV + SDPA with head-packed gemms (relaxed-ulp policy).
-
-    BLAS sees a few large matrices instead of ``3 + 2 * b * h`` tiny ones:
-    the three projections run as ``(b*s, d) @ (d, d)`` gemms into one
-    pooled buffer, Q/K/V are repacked head-major (the bias added in the
-    same pass) so the score and context matmuls are contiguous
-    ``(b*h, s, ·)`` batched gemms, and the softmax denominator is a single
-    ``(b*h*s, s) @ (s,)`` gemv.  Two more reassociations keep the
-    elementwise passes off the big ``(b*h, s, s)`` score matrix: the
-    ``1/sqrt(dh)`` scale is folded into Q before the score gemm, and the
-    softmax stabilizer is a single flat max (NumPy's all-axes reduction is
-    SIMD-vectorized while the per-row one is not) guarded by a spread
-    check that falls back to exact per-row maxima.  Returns ``(merged
-    context, attention weights)``; the weights are a pooled ``(b, h, s,
-    s)`` view, valid until the next call on the same pool.
-    """
-    b, s, d = data.shape
-    h = num_heads
-    dh = d // h
-    scale = 1.0 / float(np.sqrt(dh))
-    dt = data.dtype
-
-    # Projections: three (b*s, d) gemms into one pooled buffer, reading
-    # the live weight arrays (the fast path's no-invalidation contract).
-    x2 = data.reshape(b * s, d)
-    qkv = pool.take("attp_qkv", (3, b * s, d), dt)
-    # Head-major repack with the bias add: (b, s, h, dh) -> (b*h, s, dh)
-    # per projection, so the batched gemms below run over contiguous 2D
-    # slices instead of the strided transpose views the bit-exact path
-    # hands to matmul.
-    packed = pool.take("attp_packed", (3, b * h, s, dh), dt)
-    for i, (weight, bias) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
-        np.matmul(x2, weight, out=qkv[i])
-        np.add(
-            qkv[i].reshape(b, s, h, dh).transpose(0, 2, 1, 3),
-            bias.reshape(h, 1, dh),
-            out=packed[i].reshape(b, h, s, dh),
-        )
-    q3, k3, v3 = packed[0], packed[1], packed[2]
-    q3 *= scale  # fold the score scale into Q: s*dh elements, not s*s
-
-    scores = pool.take("attp_scores", (b * h, s, s), dt)
-    np.matmul(q3, k3.transpose(0, 2, 1), out=scores)
-    raw = scores.reshape(b, h, s, s)
-    if mask is not None:
-        np.copyto(raw, -1e9, where=mask)
-    # Softmax stabilizer.  Softmax is shift-invariant, so any per-row-or-
-    # larger shift near the maximum works; the flat all-axes max is ~17x
-    # faster than NumPy's per-row reduction at serving shapes.  It is only
-    # safe while every row's own maximum stays within exp's float range of
-    # the global one — guarded by the spread check (rows further than 60
-    # below the shift would push exp toward the subnormal floor), which
-    # falls back to exact per-row maxima (always, under a mask: the -1e9
-    # fill floors the global minimum).
-    stable = False
-    if mask is None:
-        gmax = float(scores.max())
-        gmin = float(scores.min())
-        stable = gmax - gmin < 60.0  # False for NaN/inf spreads too
-    if stable:
-        scores -= dt.type(gmax)
-    else:
-        mx = pool.take("attp_max", (b * h, s, 1), dt)
-        np.max(scores, axis=-1, keepdims=True, out=mx)
-        np.subtract(scores, mx, out=scores)
-    np.exp(scores, out=scores)
-    denom = pool.take("attp_denom", (b * h * s,), dt)
-    np.matmul(scores.reshape(b * h * s, s), _ones(pool, s, dt), out=denom)
-    scores /= denom.reshape(b * h, s, 1)
-    weights = scores.reshape(b, h, s, s)
-
-    ctx = pool.take("attp_ctx", (b * h, s, dh), dt)
-    np.matmul(scores, v3, out=ctx)
-    if out is None:
-        out = np.empty((b, s, d), dt)
-    np.copyto(out.reshape(b, s, h, dh), ctx.reshape(b, h, s, dh).transpose(0, 2, 1, 3))
-    return out, weights
 
 
 # ----------------------------------------------------------------------
@@ -881,10 +756,12 @@ def _ragged_attention_packed(data, params, layout, pool, out, cls_only):
     repacks them head-major (:meth:`RaggedLayout.tables`), so each group's
     score and context products are contiguous ``(rows * h, length, ·)``
     batched gemms writing into one flat score buffer.  The softmax runs
-    once over that buffer: a flat max stabilizer under the same spread
-    guard as :func:`eval_attention_packed` (per-row maxima otherwise), one
-    ``exp``, and ``np.add.reduceat`` row sums that normalize the context,
-    not the scores.  With ``cls_only`` the queries are the ``[CLS]``
+    once over that buffer: one ``exp``, and ``np.add.reduceat`` row sums
+    that normalize the context, not the scores.  Its stabilizer subtracts
+    the buffer's flat maximum, which is far cheaper than per-row maxima,
+    while the spread between the buffer's largest and smallest score stays
+    under 60 (no row's exponentials then sink toward float32's subnormal
+    floor); a wider spread, or a NaN, falls back to per-row maxima.  With ``cls_only`` the queries are the ``[CLS]``
     tokens alone and the result is ``(rows, d)``.
     """
     wq, bq, wk, bk, wv, bv = params

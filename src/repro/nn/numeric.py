@@ -6,9 +6,9 @@ Two numeric regimes coexist in this codebase:
   replay the composed op sequence exactly; logits are bit-identical to the
   reference and the differential harness asserts ``np.array_equal``.
 * **Relaxed-ulp (float32 serving builds).**  The accelerated serving path
-  repacks the hot gemms (one packed QKV gemm, head-packed 3D score/context
-  gemms, gemv-against-ones reductions) so BLAS sees a few large matrices
-  instead of many tiny ones.  Repacking reassociates floating-point
+  repacks the hot gemms (flat 2D projection gemms over every token,
+  head-packed 3D score/context gemms, gemv-against-ones layer-norm
+  reductions) so BLAS sees a few large matrices instead of many tiny ones.  Repacking reassociates floating-point
   accumulation, so bitwise equality is off the table — instead the contract
   is a **documented per-layer budget** against the float64 reference, plus
   *identical* class predictions and cache-hit patterns on the serving

@@ -178,11 +178,6 @@ class StreamingFlowAssembler:
         """Number of currently open flows."""
         return len(self._flows)
 
-    @property
-    def stream_time(self) -> float:
-        """The stream clock: the largest packet timestamp seen so far."""
-        return self._clock
-
     # ------------------------------------------------------------------
     # Grouping keys
     # ------------------------------------------------------------------

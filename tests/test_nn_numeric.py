@@ -40,8 +40,8 @@ from repro.nn import init
 from repro.nn.kernels import (
     RaggedLayout,
     ScratchPool,
-    eval_attention,
     eval_layer_norm,
+    ragged_attention,
     ragged_matmul,
 )
 from repro.nn.numeric import (
@@ -214,16 +214,26 @@ def _check(actual, reference, layer, dtype, what):
     assert_within_ulp(actual, reference, budget, what)
 
 
+def _prefix_mask(rng, batch, seq):
+    """A key mask keeping a random non-empty prefix of every row."""
+    mask = np.ones((batch, seq), dtype=bool)
+    for row in range(batch):
+        mask[row, rng.integers(1, seq + 1) :] = False
+    return mask
+
+
 class TestFusedKernelSweep:
     """Every fused kernel, both dtypes, against the float64 fused reference.
 
     The float64 arm is the bit-exact policy restated (budget 0, plus a
     direct ``array_equal``); the float32 arm is the documented relaxed
     budget.  The no-tape cases run the one dtype dispatch of
-    `repro.nn.kernels` (`eval_layer_norm`, `eval_attention`, `ragged_matmul`)
-    that both the fused modules and the serving fast path call: the exact
-    replay for float64, the packed kernels (`eval_layer_norm_packed`,
-    `eval_attention_packed`) for float32.
+    `repro.nn.kernels` (`eval_layer_norm`, `ragged_attention`,
+    `ragged_matmul`) that the fused modules and the serving fast path call:
+    the exact replay for float64, the packed layer norm
+    (`eval_layer_norm_packed`) and the ragged float32 kernels for float32.
+    Module attention runs the exact replay in both dtypes, so its float32
+    arm is also bit-identical to the composed float32 module.
     """
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -254,11 +264,7 @@ class TestFusedKernelSweep:
         for ours, theirs in zip(subject.parameters(), reference.parameters()):
             ours.data = theirs.data.astype(dtype)
         reference.eval(), subject.eval()
-        mask = None
-        if masked:
-            mask = np.ones((batch, seq), dtype=bool)
-            for row in range(batch):
-                mask[row, rng.integers(1, seq + 1) :] = False
+        mask = _prefix_mask(rng, batch, seq) if masked else None
         with no_grad():
             ref = reference(Tensor(x), attention_mask=mask).data
             out = subject(Tensor(x.astype(dtype)), attention_mask=mask).data
@@ -270,14 +276,40 @@ class TestFusedKernelSweep:
             "softmax", dtype, "attention weights " + what,
         )
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("batch,seq,d", SERVING_SHAPES)
+    def test_float32_module_attention_is_the_composed_path(self, masked, batch, seq, d):
+        """Without a tape, fused float32 attention replays the composed
+        float32 module bit for bit: outputs and recorded weights."""
+        rng = np.random.default_rng(batch + seq * 7 + masked)
+        x = rng.normal(size=(batch, seq, d)).astype(np.float32)
+        fused, composed = (
+            MultiHeadAttention(d, 4, rng=np.random.default_rng(3), fused=flag)
+            for flag in (True, False)
+        )
+        for module in (fused, composed):
+            for p in module.parameters():
+                p.data = p.data.astype(np.float32)
+            module.eval()
+        mask = _prefix_mask(rng, batch, seq) if masked else None
+        with no_grad():
+            got = fused(Tensor(x), attention_mask=mask).data
+            want = composed(Tensor(x), attention_mask=mask).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+        assert np.array_equal(fused.last_attention, composed.last_attention)
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_eval_kernels_into_shared_growing_pool(self, dtype):
-        """``eval_layer_norm`` / ``eval_attention`` / ``ragged_matmul`` called
-        directly, writing into ``out=`` buffers of one shared
+        """``eval_layer_norm`` / ``ragged_attention`` / ``ragged_matmul``
+        called directly, writing into ``out=`` buffers of one shared
         :class:`ScratchPool`, against the composed float64 modules.
 
         Shapes run largest first, so every later call gets prefix views of
         buffers an earlier call sized — the serving fast path's situation.
+        A masked batch runs as the ragged layout of its rows' valid
+        lengths; its reference is the composed module over each group of
+        equal-length rows at their exact width, unmasked.
         """
         pool = ScratchPool()
         shapes = sorted(SERVING_SHAPES, key=np.prod, reverse=True)
@@ -299,40 +331,38 @@ class TestFusedKernelSweep:
             assert got is out and out.dtype == dtype
             _check(out, ref, "layer_norm", dtype, "eval_layer_norm " + what)
 
-            # Attention, then the output projection through ragged_matmul
-            # (the rows as one length group).
+            # Attention over the rows' valid prefixes, then the output
+            # projection through ragged_matmul, both in the ragged layout.
             att = MultiHeadAttention(d, 4, rng=np.random.default_rng(3), fused=False)
             att.eval()
-            valid = None
+            lengths = np.full(batch, seq)
             if masked:
-                valid = np.ones((batch, seq), dtype=bool)
-                for row in range(batch):
-                    valid[row, rng.integers(1, seq + 1) :] = False
+                lengths = rng.integers(1, seq + 1, batch)
+            order = np.argsort(lengths, kind="stable")
+            layout = RaggedLayout(lengths[order], num_heads=4)
+            rows = [x[i, : lengths[i]] for i in order]
+            ref = np.empty((layout.tokens, d))
             with no_grad():
-                ref = att(Tensor(x), attention_mask=valid).data
+                for s, a, b, t0, t1 in layout.groups:
+                    group = Tensor(np.stack(rows[a:b]))
+                    ref[t0:t1] = att(group).data.reshape(-1, d)
             params = [
                 p.data.astype(dtype)
                 for lin in (att.q_proj, att.k_proj, att.v_proj)
                 for p in (lin.weight, lin.bias)
             ]
-            mask = None if valid is None else ~valid[:, None, None, :]
-            merged = pool.take("att_merged", x.shape, dtype)
-            got, weights = eval_attention(xd, *params, 4, mask, pool, out=merged)
-            assert got is merged
-            _check(
-                weights, att.last_attention, "softmax", dtype,
-                "eval_attention weights " + what,
+            merged = pool.take("att_merged", (layout.tokens, d), dtype)
+            got = ragged_attention(
+                np.concatenate(rows).astype(dtype), *params, layout, pool, merged
             )
-            projected = pool.take("proj", x.shape, dtype)
+            assert got is merged
+            projected = pool.take("proj", (layout.tokens, d), dtype)
             ragged_matmul(
-                merged.reshape(batch * seq, d),
-                att.out_proj.weight.data.astype(dtype),
-                projected.reshape(batch * seq, d),
-                RaggedLayout(np.full(batch, seq), num_heads=4),
+                merged, att.out_proj.weight.data.astype(dtype), projected, layout
             )
             projected += att.out_proj.bias.data.astype(dtype)
             assert projected.dtype == dtype
-            _check(projected, ref, "attention", dtype, "eval_attention " + what)
+            _check(projected, ref, "attention", dtype, "ragged_attention " + what)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_cross_entropy(self, dtype):

@@ -131,7 +131,7 @@ class TestRaggedForward:
                 got = weights[row, :, :length, :length]
                 if dtype == "float64":
                     assert np.array_equal(got, alone)
-                else:  # packed float32 kernels round per batch shape
+                else:  # the packed float32 layer norm rounds per batch shape
                     assert_within_ulp(got, alone, ulp_budget("softmax"), "map")
                 padded = weights[row].copy()
                 padded[:, :length, :length] = 0
@@ -168,6 +168,18 @@ class TestRaggedForward:
         lengths = np.array([5, 2, 5, 1, 2, 5])
         chunks = length_chunks(lengths, 4)
         assert [c.tolist() for c in chunks] == [[3, 1, 4, 0], [2, 5]]
+
+    @pytest.mark.parametrize("path", ["predict_logits", "predict_logits_reference"])
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_nonpositive_batch_size_raises(self, path, batch_size):
+        # A chunk size below 1 cuts no chunk: it must not leave the
+        # logits buffer unwritten or the maps unbound.
+        clf = classifier("small")
+        ids, mask, _ = mixed_batch(seed=4, rows=9)
+        with pytest.raises(ValueError, match="batch_size"):
+            getattr(clf, path)(ids, mask, batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            length_chunks(np.array([3, 1, 2]), batch_size)
 
 
 class TestBlockedGemm:
